@@ -83,19 +83,27 @@ def model_to_dict(model) -> dict:
     return base
 
 
+_KIND_KEY = {"probability": "weights", "neighborhood": "generators"}
+
+
 def model_from_dict(doc: dict):
+    if not isinstance(doc, dict):
+        raise HighProbError("a model document must be a JSON object")
     kind = doc.get("kind")
+    if kind not in _KIND_KEY:
+        raise HighProbError(f"unknown model kind {kind!r}")
+    for key in ("worlds", "partition", "valuation", _KIND_KEY[kind]):
+        if key not in doc:
+            raise HighProbError(f"{kind} model has no {key!r} key")
     frame = Frame(tuple(doc["worlds"]),
                   tuple(tuple(cell) for cell in doc["partition"]),
                   {w: frozenset(v) for w, v in doc["valuation"].items()})
     if kind == "probability":
         weights = {w: Fraction(q) for w, q in doc["weights"].items()}
         return make_probability_model(frame, weights)
-    if kind == "neighborhood":
-        gens = tuple(tuple(frame.event(g) for g in cell_gens)
-                     for cell_gens in doc["generators"])
-        return make_neighborhood_model(frame, gens)
-    raise HighProbError(f"unknown model kind {kind!r}")
+    gens = tuple(tuple(frame.event(g) for g in cell_gens)
+                 for cell_gens in doc["generators"])
+    return make_neighborhood_model(frame, gens)
 
 
 _BUILTINS = {
@@ -117,6 +125,14 @@ def load_model(spec: str):
     except json.JSONDecodeError as exc:
         raise HighProbError(f"bad JSON in {spec}: {exc}") from exc
     return model_from_dict(doc)
+
+
+def _read_text(path: str, what: str) -> str:
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise HighProbError(f"cannot read {what} {path}: {exc}") from exc
 
 
 def _emit(args, payload: dict, human: str) -> None:
@@ -169,6 +185,8 @@ def _threshold(text: str) -> Threshold:
 
 def cmd_eval(args) -> int:
     model = load_model(args.model)
+    if args.world not in model.frame.worlds:
+        raise HighProbError(f"unknown world {args.world!r}")
     formula = _parse_formula(args.formula)
     if isinstance(formula, FormulaKB):
         if isinstance(model, NeighborhoodModel):
@@ -281,12 +299,7 @@ def cmd_countermodel(args) -> int:
 
 
 def cmd_prove(args) -> int:
-    try:
-        with open(args.proof, encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise HighProbError(f"cannot read proof {args.proof}: {exc}") from exc
-    derivation = parse_proof(text)
+    derivation = parse_proof(_read_text(args.proof, "proof"))
     result = check_derivation(derivation, args.theory,
                               cl_oracle=args.cl_oracle)
     if result.accepted:
@@ -324,8 +337,8 @@ def _parse_statements(text: str, worlds) -> ComparativeRelation:
 def cmd_comparative(args) -> int:
     worlds = tuple(args.universe.split())
     if args.statements:
-        with open(args.statements, encoding="utf-8") as fh:
-            rel = _parse_statements(fh.read(), worlds)
+        rel = _parse_statements(
+            _read_text(args.statements, "statements file"), worlds)
     else:
         rel = ComparativeRelation(worlds, ())
     result = realize_comparative(rel)
@@ -470,7 +483,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--world", required=True)
     p.add_argument("--formula", required=True)
     p.add_argument("--threshold")
-    p.add_argument("--semantics", choices=("prob", "nbhd"))
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("check-model",
@@ -548,6 +560,9 @@ def main(argv=None) -> int:
         return 2
     except (ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except RecursionError:
+        print("error: formula nested too deep", file=sys.stderr)
         return 2
 
 

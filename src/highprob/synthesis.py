@@ -4,6 +4,8 @@ A small two-phase simplex over ``Fraction`` decides feasibility of
 rational constraint systems with strict inequalities: every strict
 constraint shares one slack variable which the objective maximizes, so the
 system is strictly feasible exactly when the optimum slack is positive.
+The reduced costs are kept as one extra tableau row that each pivot
+updates, so no iteration recomputes them from the whole tableau.
 On top of the solver sit agreeing-measure synthesis for neighborhood
 models and realizability checking for comparative-probability relations.
 """
@@ -86,6 +88,7 @@ class LPResult:
     feasible: bool
     assignment: tuple[tuple[str, Fraction], ...] | None = None
     slack: Fraction | None = None
+    pivots: int = 0  # over both phases, drive-out pivots included
 
     def value(self, var: str) -> Fraction:
         return dict(self.assignment)[var]
@@ -93,8 +96,6 @@ class LPResult:
     def as_dict(self) -> dict[str, Fraction]:
         return dict(self.assignment or ())
 
-
-INFEASIBLE = LPResult(False)
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -112,25 +113,28 @@ def _pivot(rows, rhs, basis, r, c):
     basis[r] = c
 
 
-def _simplex(rows, rhs, basis, objective, allowed):
-    """Maximize objective over {y >= 0, rows*y = rhs} from a feasible basis.
+def _simplex(rows, rhs, basis, objective):
+    """Maximize objective over {y >= 0, rows*y = rhs} from a feasible
+    basis; returns the number of pivots.
 
-    Bland's rule throughout: smallest eligible entering index, ties in the
-    ratio test broken by smallest basic variable index.  Terminates.
+    The reduced costs objective - c_B B^-1 A go below the rows as one more
+    row, with minus the objective's value on the right.  `_pivot`
+    eliminates that row like any other, so it stays current without being
+    recomputed.  Bland's rule throughout: smallest eligible entering
+    index, ties in the ratio test broken by smallest basic variable index.
+    Terminates.
     """
-    m = len(rows)
+    m = len(basis)
+    rows.append([objective[j] - sum(objective[b] * row[j]
+                                    for b, row in zip(basis, rows))
+                 for j in range(len(objective))])
+    rhs.append(-sum(objective[b] * v for b, v in zip(basis, rhs)))
+    pivots = 0
     while True:
-        enter = None
-        for j in allowed:
-            reduced = objective[j] - sum(
-                objective[basis[i]] * rows[i][j] for i in range(m))
-            if reduced > 0:
-                enter = j
-                break
+        enter = next((j for j, d in enumerate(rows[m]) if d > 0), None)
         if enter is None:
-            return True
-        leave = None
-        best = None
+            return pivots
+        leave = best = None
         for i in range(m):
             if rows[i][enter] > 0:
                 ratio = rhs[i] / rows[i][enter]
@@ -138,8 +142,9 @@ def _simplex(rows, rhs, basis, objective, allowed):
                         ratio == best and basis[i] < basis[leave]):
                     best, leave = ratio, i
         if leave is None:
-            return False  # unbounded
+            raise RuntimeError("slack maximization unbounded despite cap")
         _pivot(rows, rhs, basis, leave, enter)
+        pivots += 1
 
 
 def lp_feasible(constraints: Iterable[LinearConstraint],
@@ -158,14 +163,10 @@ def lp_feasible(constraints: Iterable[LinearConstraint],
                         for v, _ in con.coefficients} | set(positivity))
 
     # columns: u_x, v_x per variable (x = u - v), then eps, then slacks
-    ncols = 0
-    upos, uneg = {}, {}
-    for x in variables:
-        upos[x] = ncols
-        uneg[x] = ncols + 1
-        ncols += 2
-    eps = ncols
-    ncols += 1
+    upos = {x: 2 * i for i, x in enumerate(variables)}
+    uneg = {x: 2 * i + 1 for i, x in enumerate(variables)}
+    eps = 2 * len(variables)
+    ncols = eps + 1
 
     raw_rows = []  # (coeff list over current ncols, relation, bound)
     for con in constraints:
@@ -209,11 +210,9 @@ def lp_feasible(constraints: Iterable[LinearConstraint],
     for i in range(m):
         rows[i] = rows[i] + [_ONE if j == i else _ZERO for j in range(m)]
     basis = [art0 + i for i in range(m)]
-    obj1 = [_ZERO] * total + [-_ONE] * m
-    allowed = range(total + m)
-    _simplex(rows, rhs, basis, obj1, allowed)
-    if any(rhs[i] != 0 for i in range(m) if basis[i] >= art0):
-        return INFEASIBLE
+    pivots = _simplex(rows, rhs, basis, [_ZERO] * total + [-_ONE] * m)
+    if rhs[m] != 0:  # the artificials' optimal sum
+        return LPResult(False, pivots=pivots)
 
     # pivot remaining zero-level artificials out of the basis
     for i in range(m):
@@ -221,23 +220,22 @@ def lp_feasible(constraints: Iterable[LinearConstraint],
             c = next((j for j in range(total) if rows[i][j] != 0), None)
             if c is not None:
                 _pivot(rows, rhs, basis, i, c)
+                pivots += 1
     keep = [i for i in range(m) if basis[i] < art0]
     rows = [rows[i][:total] for i in keep]
     rhs = [rhs[i] for i in keep]
     basis = [basis[i] for i in keep]
 
     # phase 2: maximize the shared slack
-    obj2 = [_ZERO] * total
-    obj2[eps] = _ONE
-    if not _simplex(rows, rhs, basis, obj2, range(total)):
-        raise RuntimeError("slack maximization unbounded despite cap")
+    pivots += _simplex(rows, rhs, basis,
+                       [_ONE if j == eps else _ZERO for j in range(total)])
 
     values = [_ZERO] * total
     for i, bi in enumerate(basis):
         values[bi] = rhs[i]
     slack = values[eps]
     if slack <= 0:
-        return INFEASIBLE
+        return LPResult(False, pivots=pivots)
     assignment = {x: values[upos[x]] - values[uneg[x]] for x in variables}
     for con in constraints:
         if not con.satisfied_by(assignment):
@@ -245,7 +243,7 @@ def lp_feasible(constraints: Iterable[LinearConstraint],
     for v in positivity:
         if assignment[v] <= 0:
             raise RuntimeError("solver violated strict positivity")
-    return LPResult(True, tuple(sorted(assignment.items())), slack)
+    return LPResult(True, tuple(sorted(assignment.items())), slack, pivots)
 
 
 # ---------------------------------------------------------------------------
@@ -323,6 +321,8 @@ class ComparativeRelation:
 
     def __post_init__(self):
         n = len(self.worlds)
+        if len(set(self.worlds)) != n:
+            raise ValueError("duplicate world names in the universe")
         for x, rel, y in self.statements:
             if rel not in _COMP_RELS:
                 raise ValueError(f"unknown comparison {rel!r}")

@@ -210,6 +210,49 @@ class TestComparative:
         assert code == 0
 
 
+class TestErrorContract:
+    """Bad input exits 2 with one line on stderr, never a traceback."""
+
+    def assert_error(self, capsys, *argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        return err
+
+    def test_unknown_world(self, capsys):
+        err = self.assert_error(capsys, "eval", "--model", "horses3",
+                                "--world", "nope", "--formula", "h1",
+                                "--threshold", "1/2")
+        assert "'nope'" in err
+
+    def test_model_missing_key(self, capsys, tmp_path):
+        doc = tmp_path / "no-valuation.json"
+        doc.write_text(json.dumps({"kind": "probability", "worlds": ["w1"],
+                                   "partition": [["w1"]],
+                                   "weights": {"w1": "1"}}))
+        err = self.assert_error(capsys, "eval", "--model", str(doc),
+                                "--world", "w1", "--formula", "p",
+                                "--threshold", "1/2")
+        assert "'valuation'" in err
+
+    def test_unreadable_statements(self, capsys, tmp_path):
+        missing = tmp_path / "no-such-statements.txt"
+        err = self.assert_error(capsys, "comparative", "--universe", "a b",
+                                "--statements", str(missing))
+        assert "statements" in err
+
+    def test_duplicate_worlds(self, capsys):
+        err = self.assert_error(capsys, "comparative", "--universe", "a a")
+        assert "duplicate" in err
+
+    def test_formula_nested_too_deep(self, capsys):
+        err = self.assert_error(capsys, "eval", "--model", "horses3",
+                                "--world", "w1",
+                                "--formula", "~" * 5000 + "h1",
+                                "--threshold", "1/2")
+        assert err == "error: formula nested too deep\n"
+
+
 class TestDemos:
     def test_all_demos_exit_zero(self, capsys):
         for scenario in ("walley-fine", "kps", "horses"):

@@ -3,7 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from highprob.core import EventSet, Frame, make_neighborhood_model
+from highprob import synthesis
+from highprob.core import (
+    EventSet,
+    Frame,
+    make_neighborhood_model,
+    make_probability_model,
+)
 from highprob.corpus import (
     kps_definetti_extension,
     kps_relation,
@@ -24,6 +30,66 @@ from highprob.synthesis import (
 )
 
 HALF = Threshold(Fraction(1, 2))
+
+
+def cell_model(rng, k):
+    """A one-cell probability model on k worlds with seeded weights."""
+    worlds = tuple(f"w{i}" for i in range(k))
+    d = rng.randint(2 * k, 64)
+    cuts = sorted(rng.sample(range(1, d), k - 1))
+    parts = [b - a for a, b in zip((0, *cuts), (*cuts, d))]
+    frame = Frame(worlds, (worlds,), {})
+    return make_probability_model(
+        frame, {w: Fraction(p, d) for w, p in zip(worlds, parts)})
+
+
+# Systems derived from cell_model(random.Random(7), k) for these k, at 1/2
+# and 2/3: (system, c, pivots, measure returned by synthesize_measure).
+# Any solver that keeps Bland's rule on this tableau takes exactly these
+# pivots and returns exactly these measures.
+GOLDEN_SIZES = (3, 4, 5, 6, 3, 4, 5, 6, 3, 4, 5, 6, 3, 4, 5, 7, 4, 5, 6, 7)
+GOLDEN = [
+    (0, "1/2", 11, "1/4 1/4 1/2"),
+    (0, "2/3", 10, "1/6 1/6 2/3"),
+    (1, "1/2", 8, "1/8 1/8 5/8 1/8"),
+    (1, "2/3", 11, "1/6 1/12 7/12 1/6"),
+    (2, "1/2", 19, "1/12 1/4 1/4 1/12 1/3"),
+    (2, "2/3", 17, "1/12 1/4 1/12 1/12 1/2"),
+    (3, "1/2", 57, "2/17 1/17 3/17 4/17 2/17 5/17"),
+    (3, "2/3", 35, "1/15 1/30 1/5 7/30 1/5 4/15"),
+    (4, "1/2", 7, "1/6 1/6 2/3"),
+    (4, "2/3", 7, "1/9 1/9 7/9"),
+    (5, "1/2", 8, "1/8 5/8 1/8 1/8"),
+    (5, "2/3", 8, "1/12 3/4 1/12 1/12"),
+    (6, "1/2", 29, "1/7 3/14 3/14 2/7 1/7"),
+    (6, "2/3", 27, "1/18 2/9 2/9 5/18 2/9"),
+    (7, "1/2", 48, "3/14 1/7 1/7 1/7 3/14 1/7"),
+    (7, "2/3", 39, "1/4 1/8 1/8 1/8 1/4 1/8"),
+    (8, "1/2", 7, "1/6 2/3 1/6"),
+    (8, "2/3", 7, "1/9 7/9 1/9"),
+    (9, "1/2", 22, "1/5 2/5 1/5 1/5"),
+    (9, "2/3", 16, "1/6 1/2 1/6 1/6"),
+    (10, "1/2", 26, "1/4 1/3 1/12 1/4 1/12"),
+    (10, "2/3", 29, "1/6 1/2 1/12 1/6 1/12"),
+    (11, "1/2", 10, "1/12 1/12 1/12 1/12 7/12 1/12"),
+    (11, "2/3", 20, "1/9 1/27 2/27 5/27 14/27 2/27"),
+    (12, "1/2", 7, "2/3 1/6 1/6"),
+    (12, "2/3", 10, "2/3 1/6 1/6"),
+    (13, "1/2", 15, "2/5 1/5 1/5 1/5"),
+    (13, "2/3", 10, "1/3 1/9 1/9 4/9"),
+    (14, "1/2", 27, "2/7 1/7 1/7 1/7 2/7"),
+    (14, "2/3", 17, "1/4 1/12 1/12 1/12 1/2"),
+    (15, "1/2", 73, "5/46 4/23 3/46 11/46 3/46 5/23 3/23"),
+    (15, "2/3", 63, "5/54 1/6 2/27 13/54 1/18 2/9 4/27"),
+    (16, "1/2", 15, "2/5 1/5 1/5 1/5"),
+    (16, "2/3", 13, "5/9 1/9 1/9 2/9"),
+    (17, "1/2", 28, "1/7 1/14 5/14 3/14 3/14"),
+    (17, "2/3", 22, "1/12 1/12 1/2 1/12 1/4"),
+    (18, "1/2", 34, "1/14 1/7 2/7 1/7 1/14 2/7"),
+    (18, "2/3", 46, "2/21 1/7 2/7 1/7 1/21 2/7"),
+    (19, "1/2", 58, "1/14 2/7 1/4 1/28 3/14 1/14 1/14"),
+    (19, "2/3", 58, "1/8 13/48 1/4 1/48 1/6 1/24 1/8"),
+]
 
 
 class TestLinearConstraint:
@@ -104,6 +170,62 @@ class TestLP:
             else:
                 infeasible_seen += 1
         assert feasible_seen and infeasible_seen
+
+
+def beale_system(relation):
+    """Beale's cycling example as feasibility: its objective reaches 5/4
+    only at a degenerate vertex, where careless pivoting cycles."""
+    x = ("x4", "x5", "x6", "x7")
+    return [
+        LinearConstraint({"x4": Fraction(1, 4), "x5": -8, "x6": -1,
+                          "x7": 9}, "<=", 0),
+        LinearConstraint({"x4": Fraction(1, 2), "x5": -12,
+                          "x6": Fraction(-1, 2), "x7": 3}, "<=", 0),
+        LinearConstraint({"x6": 1}, "<=", 1),
+        *(LinearConstraint({v: 1}, ">=", 0) for v in x),
+        LinearConstraint({"x4": Fraction(3, 4), "x5": -20,
+                          "x6": Fraction(1, 2), "x7": -6},
+                         relation, Fraction(5, 4)),
+    ]
+
+
+class TestPivotPath:
+    def test_golden_measures_and_pivots(self, monkeypatch):
+        solved = []
+
+        def recording(*args, **kwargs):
+            solved.append(lp_feasible(*args, **kwargs))
+            return solved[-1]
+
+        monkeypatch.setattr(synthesis, "lp_feasible", recording)
+        rng = random.Random(7)
+        got = []
+        for i, k in enumerate(GOLDEN_SIZES):
+            model = cell_model(rng, k)
+            for c in ("1/2", "2/3"):
+                th = Threshold(Fraction(c))
+                res = synthesize_measure(derive_neighborhoods(model, th), th)
+                got.append((i, c, solved[-1].pivots,
+                            " ".join(str(q) for q in res.model.weights)))
+        assert got == GOLDEN
+
+    def test_infeasible_results_count_pivots(self):
+        m = walley_fine_model()
+        pivots = []
+        for c in ("1/3", "1/2", "3/5", "2/3", "3/4"):
+            cons, names = synthesis.agreement_constraints(
+                m, 0, Threshold(Fraction(c)))
+            res = lp_feasible(cons, positivity=names)
+            assert not res.feasible and res.assignment is None
+            pivots.append(res.pivots)
+        assert pivots == [27, 27, 24, 33, 26]
+
+    def test_beale_terminates_under_blands_rule(self):
+        res = lp_feasible(beale_system(">="))
+        assert res.feasible and res.pivots == 13
+        assert res.as_dict() == {"x4": 1, "x5": 0, "x6": 1, "x7": 0}
+        res = lp_feasible(beale_system(">"))
+        assert not res.feasible and res.pivots == 14
 
 
 class TestSynthesis:
