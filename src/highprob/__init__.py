@@ -18,8 +18,7 @@ from .core import (
     make_probability_model,
 )
 from .formula import (
-    FormulaKB,
-    FormulaL,
+    Formula,
     Threshold,
     parse_kb,
     parse_l,

@@ -34,7 +34,7 @@ from .formula import (
     And,
     Atom,
     B,
-    FormulaKB,
+    Formula,
     K,
     Not,
     TOP,
@@ -54,13 +54,13 @@ TAUT_LEAF_BUDGET = 12
 # Templates and matching
 
 @dataclass(frozen=True)
-class Meta(FormulaKB):
+class Meta(Formula):
     """Metavariable leaf, used only inside scheme templates."""
 
     name: str
 
 
-def match_template(template: FormulaKB, formula: FormulaKB,
+def match_template(template: Formula, formula: Formula,
                    subst: dict | None = None) -> dict | None:
     """Most general substitution making the template equal the formula,
     or None.  Matching is purely structural on desugared ASTs."""
@@ -90,7 +90,7 @@ def match_template(template: FormulaKB, formula: FormulaKB,
     return None
 
 
-def apply_substitution(template: FormulaKB, subst: dict) -> FormulaKB:
+def apply_substitution(template: Formula, subst: dict) -> Formula:
     if isinstance(template, Meta):
         return subst[template.name]
     if isinstance(template, (Top, Atom)):
@@ -107,7 +107,7 @@ def apply_substitution(template: FormulaKB, subst: dict) -> FormulaKB:
 
 _P, _Q, _R = Meta("phi"), Meta("psi"), Meta("chi")
 
-CL_BASIS: tuple[tuple[str, FormulaKB], ...] = (
+CL_BASIS: tuple[tuple[str, Formula], ...] = (
     ("a1", implies(_P, implies(_Q, _P))),
     ("a2", implies(implies(_P, implies(_Q, _R)),
                    implies(implies(_P, _Q), implies(_P, _R)))),
@@ -118,7 +118,7 @@ CL_BASIS: tuple[tuple[str, FormulaKB], ...] = (
     ("top", TOP),
 )
 
-SCHEME_TEMPLATES: dict[str, FormulaKB] = {
+SCHEME_TEMPLATES: dict[str, Formula] = {
     "KS5_K": implies(K(implies(_P, _Q)), implies(K(_P), K(_Q))),
     "KS5_T": implies(K(_P), _P),
     "KS5_4": implies(K(_P), K(K(_P))),
@@ -136,13 +136,13 @@ SCHEME_TEMPLATES: dict[str, FormulaKB] = {
 _SCOTT_RE = re.compile(r"Scott(\d+)$")
 
 
-def scott_template(m: int) -> FormulaKB:
+def scott_template(m: int) -> Formula:
     phis = [Meta(f"phi{i + 1}") for i in range(m)]
     psis = [Meta(f"psi{i + 1}") for i in range(m)]
     return scott_instance(phis, psis)
 
 
-def scheme_template(scheme: str) -> FormulaKB | None:
+def scheme_template(scheme: str) -> Formula | None:
     if scheme in SCHEME_TEMPLATES:
         return SCHEME_TEMPLATES[scheme]
     hit = _SCOTT_RE.match(scheme)
@@ -154,7 +154,7 @@ def scheme_template(scheme: str) -> FormulaKB | None:
     return None
 
 
-def match_axiom(formula: FormulaKB, scheme: str) -> dict | None:
+def match_axiom(formula: Formula, scheme: str) -> dict | None:
     """Substitution witnessing the formula as a scheme instance, or None.
 
     For classical lines the basis templates are tried in their listed
@@ -175,12 +175,12 @@ def match_axiom(formula: FormulaKB, scheme: str) -> dict | None:
 # ---------------------------------------------------------------------------
 # Tautology oracle
 
-def modal_leaves(formula: FormulaKB) -> tuple[FormulaKB, ...]:
+def modal_leaves(formula: Formula) -> tuple[Formula, ...]:
     """Maximal subformulas opaque to propositional reasoning: atoms and
     modal formulas."""
-    out: list[FormulaKB] = []
+    out: list[Formula] = []
 
-    def walk(f: FormulaKB):
+    def walk(f: Formula):
         if isinstance(f, (Atom, K, B)):
             if f not in out:
                 out.append(f)
@@ -194,14 +194,14 @@ def modal_leaves(formula: FormulaKB) -> tuple[FormulaKB, ...]:
     return tuple(out)
 
 
-def is_tautology(formula: FormulaKB,
+def is_tautology(formula: Formula,
                  leaf_budget: int = TAUT_LEAF_BUDGET) -> bool:
     """Truth-table check treating modal subformulas as opaque letters."""
     leaves = modal_leaves(formula)
     if len(leaves) > leaf_budget:
         return False
 
-    def ev(f: FormulaKB, row: dict) -> bool:
+    def ev(f: Formula, row: dict) -> bool:
         if isinstance(f, Top):
             return True
         if isinstance(f, (Atom, K, B)):
@@ -240,15 +240,15 @@ def _scheme_in_theory(scheme: str, theory: frozenset[str]) -> bool:
 class Justification:
     rule: str  # "AX" | "MP" | "MN"
     scheme: str | None = None
-    subst: tuple[tuple[str, FormulaKB], ...] | None = None
+    subst: tuple[tuple[str, Formula], ...] | None = None
     premises: tuple[int, ...] = ()
 
 
 @dataclass(frozen=True)
 class Derivation:
-    lines: tuple[tuple[FormulaKB, Justification], ...]
+    lines: tuple[tuple[Formula, Justification], ...]
 
-    def conclusion(self) -> FormulaKB:
+    def conclusion(self) -> Formula:
         return self.lines[-1][0]
 
 

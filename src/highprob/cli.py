@@ -34,7 +34,7 @@ from .core import (
     make_probability_model,
 )
 from .errors import FormulaSyntaxError, HighProbError
-from .formula import FormulaKB, Threshold, parse_kb, parse_l
+from .formula import Threshold, parse_kb, parse_l
 from .neighborhood import (
     PropertyReport,
     ScottWitness,
@@ -95,15 +95,55 @@ def model_from_dict(doc: dict):
     for key in ("worlds", "partition", "valuation", _KIND_KEY[kind]):
         if key not in doc:
             raise HighProbError(f"{kind} model has no {key!r} key")
-    frame = Frame(tuple(doc["worlds"]),
-                  tuple(tuple(cell) for cell in doc["partition"]),
-                  {w: frozenset(v) for w, v in doc["valuation"].items()})
+    worlds = _strings(doc["worlds"], "'worlds'")
+    partition = tuple(
+        _world_names(cell, worlds, "a partition cell")
+        for cell in _json(doc["partition"], list, "'partition'"))
+    valuation = {
+        w: frozenset(_strings(atoms, f"the valuation of {w!r}"))
+        for w, atoms in _json(doc["valuation"], dict, "'valuation'").items()}
+    frame = Frame(worlds, partition, valuation)
     if kind == "probability":
-        weights = {w: Fraction(q) for w, q in doc["weights"].items()}
+        weights = {w: _weight(q, w) for w, q
+                   in _json(doc["weights"], dict, "'weights'").items()}
         return make_probability_model(frame, weights)
-    gens = tuple(tuple(frame.event(g) for g in cell_gens)
-                 for cell_gens in doc["generators"])
+    gens = tuple(
+        tuple(frame.event(_world_names(g, worlds, "a generator"))
+              for g in _json(cell_gens, list, "a cell's generators"))
+        for cell_gens in _json(doc["generators"], list, "'generators'"))
     return make_neighborhood_model(frame, gens)
+
+
+def _json(value, kind: type, what: str):
+    """The value, if it has the JSON type the model format puts there."""
+    if not isinstance(value, kind):
+        raise HighProbError(f"{what} must be a JSON "
+                            + ("array" if kind is list else "object"))
+    return value
+
+
+def _strings(value, what: str) -> tuple[str, ...]:
+    if not all(isinstance(x, str) for x in _json(value, list, what)):
+        raise HighProbError(f"{what} must be an array of strings")
+    return tuple(value)
+
+
+def _world_names(value, worlds: tuple[str, ...], what: str
+                 ) -> tuple[str, ...]:
+    names = _strings(value, what)
+    for name in names:
+        if name not in worlds:
+            raise HighProbError(f"{what} names unknown world {name!r}")
+    return names
+
+
+def _weight(value, world: str) -> Fraction:
+    # weights are exact: a JSON float would bring in a binary fraction,
+    # and Python counts bools as ints
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise HighProbError(f"weight of {world!r} must be an integer or a "
+                            f"\"p/q\" string, not {json.dumps(value)}")
+    return Fraction(value)
 
 
 _BUILTINS = {
@@ -170,10 +210,12 @@ def _report_payload(frame: Frame, report: PropertyReport) -> dict:
 
 
 def _parse_formula(text: str):
+    """The formula, and whether the modal parser (tried first) accepted
+    it rather than the probability-language one."""
     try:
-        return parse_kb(text)
+        return parse_kb(text), True
     except FormulaSyntaxError:
-        return parse_l(text)
+        return parse_l(text), False
 
 
 def _threshold(text: str) -> Threshold:
@@ -187,8 +229,8 @@ def cmd_eval(args) -> int:
     model = load_model(args.model)
     if args.world not in model.frame.worlds:
         raise HighProbError(f"unknown world {args.world!r}")
-    formula = _parse_formula(args.formula)
-    if isinstance(formula, FormulaKB):
+    formula, modal = _parse_formula(args.formula)
+    if modal:
         if isinstance(model, NeighborhoodModel):
             verdict = eval_kb_nbhd(model, args.world, formula)
         else:

@@ -228,11 +228,24 @@ def make_probability_model(frame: Frame, weights: Mapping[str, object]
     return ProbabilityModel(frame, vec)
 
 
+def conditional_mass(model: ProbabilityModel, bits: int, cell: int
+                     ) -> Fraction:
+    """P(X | cell) = P(X ∩ cell) / P(cell) for the world bitmasks X and
+    cell; total on a nonempty cell by full support."""
+    inside = whole = ZERO
+    for i, q in enumerate(model.weights):
+        if cell >> i & 1:
+            whole += q
+            if bits >> i & 1:
+                inside += q
+    return inside / whole
+
+
 def conditional_probability(model: ProbabilityModel, world: str,
                             event: EventSet) -> Fraction:
     """P_w(X) = P(X ∩ [w]) / P([w]); total by full support."""
     cell = model.frame.class_of(world)
-    return model.mass(event.intersection(cell)) / model.mass(cell)
+    return conditional_mass(model, event.intersection(cell).bits, cell.bits)
 
 
 def bayesian_update(model: ProbabilityModel, event: EventSet

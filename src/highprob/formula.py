@@ -1,11 +1,13 @@
-"""Object languages: knowledge/belief formulas and linear probability formulas.
+"""The object language: knowledge, belief and linear probability formulas.
 
-Two ASTs live here.  ``FormulaKB`` is the propositional modal language with
-primitive nodes ``Top | Atom | Not | And | K | B``; every other connective
-(including falsehood, disjunction, implication, biconditional, and the dual
-modalities) is sugar expanded at construction time.  ``FormulaL`` is the
-linear probability language whose only non-Boolean node is ``t >= 0`` over
-rational-linear terms in ``P(phi)`` expressions.
+One AST serves both languages.  Its primitive nodes are
+``Top | Atom | Not | And | K | B | GeqZero``; every other connective
+(including falsehood, disjunction, implication, biconditional, the dual
+modalities and the term comparisons) is sugar expanded at construction
+time.  The modal language uses ``K`` and ``B``; the linear probability
+language uses ``t >= 0`` over rational-linear terms in ``P(phi)``
+expressions instead.  One parser reads both, with ``parse_kb`` and
+``parse_l`` as its two entry points, and one printer writes both.
 
 Also here: the threshold translation from the modal language into the
 probability language, the counting-notation expansion, and construction of
@@ -22,140 +24,52 @@ from fractions import Fraction
 from .errors import ExpansionTooLarge, FormulaSyntaxError
 
 # ---------------------------------------------------------------------------
-# Knowledge/belief ASTs
+# Formulas
 
 
-class FormulaKB:
+class Formula:
     __slots__ = ()
 
 
 @dataclass(frozen=True)
-class Top(FormulaKB):
+class Top(Formula):
     __slots__ = ()
 
 
 @dataclass(frozen=True)
-class Atom(FormulaKB):
+class Atom(Formula):
     name: str
 
 
 @dataclass(frozen=True)
-class Not(FormulaKB):
-    sub: FormulaKB
+class Not(Formula):
+    sub: Formula
 
 
 @dataclass(frozen=True)
-class And(FormulaKB):
-    left: FormulaKB
-    right: FormulaKB
+class And(Formula):
+    left: Formula
+    right: Formula
 
 
 @dataclass(frozen=True)
-class K(FormulaKB):
-    sub: FormulaKB
+class K(Formula):
+    sub: Formula
 
 
 @dataclass(frozen=True)
-class B(FormulaKB):
-    sub: FormulaKB
+class B(Formula):
+    sub: Formula
 
 
-TOP = Top()
-
-
-def bot() -> FormulaKB:
-    return Not(TOP)
-
-
-def or_(left: FormulaKB, right: FormulaKB) -> FormulaKB:
-    return Not(And(Not(left), Not(right)))
-
-
-def implies(left: FormulaKB, right: FormulaKB) -> FormulaKB:
-    return Not(And(left, Not(right)))
-
-
-def iff(left: FormulaKB, right: FormulaKB) -> FormulaKB:
-    return And(implies(left, right), implies(right, left))
-
-
-def k_dual(sub: FormulaKB) -> FormulaKB:
-    return Not(K(Not(sub)))
-
-
-def b_dual(sub: FormulaKB) -> FormulaKB:
-    return Not(B(Not(sub)))
-
-
-def conj(formulas) -> FormulaKB:
-    """Left-nested conjunction; Top for the empty list."""
-    formulas = list(formulas)
-    if not formulas:
-        return TOP
-    out = formulas[0]
-    for f in formulas[1:]:
-        out = And(out, f)
-    return out
-
-
-def disj(formulas) -> FormulaKB:
-    """Left-nested disjunction; Bot for the empty list."""
-    formulas = list(formulas)
-    if not formulas:
-        return bot()
-    out = formulas[0]
-    for f in formulas[1:]:
-        out = or_(out, f)
-    return out
-
-
-def atoms_of(formula: FormulaKB) -> frozenset[str]:
-    if isinstance(formula, Atom):
-        return frozenset({formula.name})
-    if isinstance(formula, (Not, K, B)):
-        return atoms_of(formula.sub)
-    if isinstance(formula, And):
-        return atoms_of(formula.left) | atoms_of(formula.right)
-    return frozenset()
-
-
-# ---------------------------------------------------------------------------
-# Linear probability ASTs
-
-
-class FormulaL:
-    __slots__ = ()
+@dataclass(frozen=True)
+class GeqZero(Formula):
+    """t >= 0, the only primitive comparison."""
+    term: TermL
 
 
 class TermL:
     __slots__ = ()
-
-
-@dataclass(frozen=True)
-class LTop(FormulaL):
-    __slots__ = ()
-
-
-@dataclass(frozen=True)
-class LAtom(FormulaL):
-    name: str
-
-
-@dataclass(frozen=True)
-class LNot(FormulaL):
-    sub: FormulaL
-
-
-@dataclass(frozen=True)
-class LAnd(FormulaL):
-    left: FormulaL
-    right: FormulaL
-
-
-@dataclass(frozen=True)
-class GeqZero(FormulaL):
-    """t >= 0, the only primitive comparison."""
-    term: TermL
 
 
 @dataclass(frozen=True)
@@ -167,7 +81,7 @@ class Const(TermL):
 class Scaled(TermL):
     """q * P(phi)."""
     coeff: Fraction
-    sub: FormulaL
+    sub: Formula
 
 
 @dataclass(frozen=True)
@@ -176,7 +90,67 @@ class TSum(TermL):
     right: TermL
 
 
-LTOP = LTop()
+TOP = Top()
+
+
+def bot() -> Formula:
+    return Not(TOP)
+
+
+def or_(left: Formula, right: Formula) -> Formula:
+    return Not(And(Not(left), Not(right)))
+
+
+def implies(left: Formula, right: Formula) -> Formula:
+    return Not(And(left, Not(right)))
+
+
+def iff(left: Formula, right: Formula) -> Formula:
+    return And(implies(left, right), implies(right, left))
+
+
+def k_dual(sub: Formula) -> Formula:
+    return Not(K(Not(sub)))
+
+
+def b_dual(sub: Formula) -> Formula:
+    return Not(B(Not(sub)))
+
+
+def conj(formulas) -> Formula:
+    """Left-nested conjunction; Top for the empty list."""
+    formulas = list(formulas)
+    if not formulas:
+        return TOP
+    out = formulas[0]
+    for f in formulas[1:]:
+        out = And(out, f)
+    return out
+
+
+def disj(formulas) -> Formula:
+    """Left-nested disjunction; Bot for the empty list."""
+    formulas = list(formulas)
+    if not formulas:
+        return bot()
+    out = formulas[0]
+    for f in formulas[1:]:
+        out = or_(out, f)
+    return out
+
+
+def atoms_of(formula: Formula) -> frozenset[str]:
+    if isinstance(formula, Atom):
+        return frozenset({formula.name})
+    if isinstance(formula, (Not, K, B)):
+        return atoms_of(formula.sub)
+    if isinstance(formula, And):
+        return atoms_of(formula.left) | atoms_of(formula.right)
+    return frozenset()
+
+
+# ---------------------------------------------------------------------------
+# Term comparisons
 
 
 def _neg_term(term: TermL) -> TermL:
@@ -187,30 +161,30 @@ def _neg_term(term: TermL) -> TermL:
     return TSum(_neg_term(term.left), _neg_term(term.right))
 
 
-def l_ge(left: TermL, right: TermL) -> FormulaL:
+def l_ge(left: TermL, right: TermL) -> Formula:
     """t >= s, expanded onto the primitive comparison."""
     if right == Const(Fraction(0)):
         return GeqZero(left)
     return GeqZero(TSum(left, _neg_term(right)))
 
 
-def l_le(left: TermL, right: TermL) -> FormulaL:
+def l_le(left: TermL, right: TermL) -> Formula:
     return l_ge(right, left)
 
 
-def l_gt(left: TermL, right: TermL) -> FormulaL:
-    return LNot(l_ge(right, left))
+def l_gt(left: TermL, right: TermL) -> Formula:
+    return Not(l_ge(right, left))
 
 
-def l_lt(left: TermL, right: TermL) -> FormulaL:
-    return LNot(l_ge(left, right))
+def l_lt(left: TermL, right: TermL) -> Formula:
+    return Not(l_ge(left, right))
 
 
-def l_eq(left: TermL, right: TermL) -> FormulaL:
-    return LAnd(l_ge(left, right), l_ge(right, left))
+def l_eq(left: TermL, right: TermL) -> Formula:
+    return And(l_ge(left, right), l_ge(right, left))
 
 
-def prob(sub: FormulaL, coeff=Fraction(1)) -> TermL:
+def prob(sub: Formula, coeff=Fraction(1)) -> TermL:
     return Scaled(Fraction(coeff), sub)
 
 
@@ -229,23 +203,18 @@ class Threshold:
             raise ValueError("threshold must lie strictly between 0 and 1")
 
 
-def translate(formula: FormulaKB, c: Threshold) -> FormulaL:
-    """Structural translation: K maps to P(.)=1 and B to P(.)>c."""
-    if isinstance(formula, Top):
-        return LTOP
-    if isinstance(formula, Atom):
-        return LAtom(formula.name)
-    if isinstance(formula, Not):
-        return LNot(translate(formula.sub, c))
-    if isinstance(formula, And):
-        return LAnd(translate(formula.left, c), translate(formula.right, c))
+def translate(formula: Formula, c: Threshold) -> Formula:
+    """Structural translation: K maps to P(.)=1 and B to P(.)>c; every
+    other node is kept."""
     if isinstance(formula, K):
-        inner = translate(formula.sub, c)
-        return l_eq(prob(inner), Const(Fraction(1)))
+        return l_eq(prob(translate(formula.sub, c)), Const(Fraction(1)))
     if isinstance(formula, B):
-        inner = translate(formula.sub, c)
-        return l_gt(prob(inner), Const(c.value))
-    raise TypeError(f"not a modal formula: {formula!r}")
+        return l_gt(prob(translate(formula.sub, c)), Const(c.value))
+    if isinstance(formula, Not):
+        return Not(translate(formula.sub, c))
+    if isinstance(formula, And):
+        return And(translate(formula.left, c), translate(formula.right, c))
+    return formula
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +245,7 @@ def _counting_disjunct(phis, psis, i):
 
 
 def segerberg_expand(phis, psis, mode: str = "I",
-                     guard: int = DEFAULT_EXPANSION_GUARD) -> FormulaKB:
+                     guard: int = DEFAULT_EXPANSION_GUARD) -> Formula:
     """Expand the counting notation into a plain modal formula.
 
     Mode ``I``: K(F_0 | ... | F_m) saying every accessible world satisfies
@@ -302,7 +271,7 @@ def segerberg_expand(phis, psis, mode: str = "I",
 
 
 def scott_instance(phis, psis, guard: int = DEFAULT_EXPANSION_GUARD
-                   ) -> FormulaKB:
+                   ) -> Formula:
     """[(phi_i I psi_i) & B phi_1 & AND_{i>=2} ~B~phi_i] -> OR_i B psi_i.
 
     For m = 1 the dual-belief conjunct block is empty and is omitted.
@@ -317,7 +286,7 @@ def scott_instance(phis, psis, guard: int = DEFAULT_EXPANSION_GUARD
 
 
 # ---------------------------------------------------------------------------
-# Lexer shared by both parsers
+# Lexer and parser
 
 _TOKEN_SPECS = [
     ("IFF", r"<->"),
@@ -373,10 +342,15 @@ def _tokenize(text: str) -> list[_Token]:
 
 
 class _Parser:
-    def __init__(self, text: str):
-        self.text = text
+    """Both languages share the Boolean layer.  Precedence: ~ (and K, B
+    and their duals in the modal language) binds tightest; then &; then |;
+    then ->, <-> (right-associative, one level).  The probability language
+    has term comparisons at the primary level instead of modalities."""
+
+    def __init__(self, text: str, modal: bool):
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.modal = modal
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -400,16 +374,13 @@ class _Parser:
             f"unexpected {tok.text or 'end of input'}", tok.offset,
             expected=set(expected))
 
-    def done(self):
+    def parse(self) -> Formula:
+        out = self.formula()
         if self.peek().kind != "EOF":
             self.fail({"EOF"})
+        return out
 
-
-class _KBParser(_Parser):
-    """Precedence: ~, K, B bind tightest; then &; then |; then ->, <->
-    (right-associative, one level)."""
-
-    def formula(self) -> FormulaKB:
+    def formula(self) -> Formula:
         left = self.or_()
         kind = self.peek().kind
         if kind == "IMPL":
@@ -420,41 +391,34 @@ class _KBParser(_Parser):
             return iff(left, self.formula())
         return left
 
-    def or_(self) -> FormulaKB:
+    def or_(self) -> Formula:
         out = self.and_()
         while self.peek().kind == "OR":
             self.advance()
             out = or_(out, self.and_())
         return out
 
-    def and_(self) -> FormulaKB:
+    def and_(self) -> Formula:
         out = self.unary()
         while self.peek().kind == "AND":
             self.advance()
             out = And(out, self.unary())
         return out
 
-    def unary(self) -> FormulaKB:
+    def unary(self) -> Formula:
         kind = self.peek().kind
         if kind == "NOT":
             self.advance()
             return Not(self.unary())
-        if kind == "K":
+        if self.modal and kind in _MODAL_OPS:
             self.advance()
-            return K(self.unary())
-        if kind == "B":
-            self.advance()
-            return B(self.unary())
-        if kind == "KDUAL":
-            self.advance()
-            return k_dual(self.unary())
-        if kind == "BDUAL":
-            self.advance()
-            return b_dual(self.unary())
+            return _MODAL_OPS[kind](self.unary())
         return self.primary()
 
-    def primary(self) -> FormulaKB:
+    def primary(self) -> Formula:
         tok = self.peek()
+        if not self.modal and tok.kind in ("RAT", "P"):
+            return self.comparison()
         if tok.kind == "TRUE":
             self.advance()
             return TOP
@@ -469,69 +433,10 @@ class _KBParser(_Parser):
             out = self.formula()
             self.expect("RPAREN")
             return out
-        self.fail({"TRUE", "FALSE", "IDENT", "LPAREN", "NOT", "K", "B"})
+        self.fail({"TRUE", "FALSE", "IDENT", "LPAREN", "NOT"}
+                  | ({"K", "B"} if self.modal else {"RAT", "P"}))
 
-
-class _LParser(_Parser):
-    """Boolean layer as in the modal language (minus modalities), with
-    term comparisons at the primary level."""
-
-    def formula(self) -> FormulaL:
-        left = self.or_()
-        kind = self.peek().kind
-        if kind == "IMPL":
-            self.advance()
-            right = self.formula()
-            return LNot(LAnd(left, LNot(right)))
-        if kind == "IFF":
-            self.advance()
-            right = self.formula()
-            return LAnd(LNot(LAnd(left, LNot(right))),
-                        LNot(LAnd(right, LNot(left))))
-        return left
-
-    def or_(self) -> FormulaL:
-        out = self.and_()
-        while self.peek().kind == "OR":
-            self.advance()
-            right = self.and_()
-            out = LNot(LAnd(LNot(out), LNot(right)))
-        return out
-
-    def and_(self) -> FormulaL:
-        out = self.unary()
-        while self.peek().kind == "AND":
-            self.advance()
-            out = LAnd(out, self.unary())
-        return out
-
-    def unary(self) -> FormulaL:
-        if self.peek().kind == "NOT":
-            self.advance()
-            return LNot(self.unary())
-        return self.primary()
-
-    def primary(self) -> FormulaL:
-        tok = self.peek()
-        if tok.kind in ("RAT", "P"):
-            return self.comparison()
-        if tok.kind == "TRUE":
-            self.advance()
-            return LTOP
-        if tok.kind == "FALSE":
-            self.advance()
-            return LNot(LTOP)
-        if tok.kind == "IDENT":
-            self.advance()
-            return LAtom(tok.text)
-        if tok.kind == "LPAREN":
-            self.advance()
-            out = self.formula()
-            self.expect("RPAREN")
-            return out
-        self.fail({"TRUE", "FALSE", "IDENT", "LPAREN", "NOT", "RAT", "P"})
-
-    def comparison(self) -> FormulaL:
+    def comparison(self) -> Formula:
         left = self.term()
         tok = self.peek()
         ops = {"GE": l_ge, "LE": l_le, "GT": l_gt, "LT": l_lt, "EQ": l_eq}
@@ -561,7 +466,7 @@ class _LParser(_Parser):
             return Scaled(Fraction(1), self.prob_app())
         self.fail({"RAT", "P"})
 
-    def prob_app(self) -> FormulaL:
+    def prob_app(self) -> Formula:
         self.expect("P")
         self.expect("LPAREN")
         out = self.formula()
@@ -569,18 +474,17 @@ class _LParser(_Parser):
         return out
 
 
-def parse_kb(text: str) -> FormulaKB:
-    parser = _KBParser(text)
-    out = parser.formula()
-    parser.done()
-    return out
+_MODAL_OPS = {"K": K, "B": B, "KDUAL": k_dual, "BDUAL": b_dual}
 
 
-def parse_l(text: str) -> FormulaL:
-    parser = _LParser(text)
-    out = parser.formula()
-    parser.done()
-    return out
+def parse_kb(text: str) -> Formula:
+    """Parse the modal language: K, B and their duals, no P(.)."""
+    return _Parser(text, modal=True).parse()
+
+
+def parse_l(text: str) -> Formula:
+    """Parse the probability language: P(.) comparisons, no K or B."""
+    return _Parser(text, modal=False).parse()
 
 
 # ---------------------------------------------------------------------------
@@ -593,7 +497,9 @@ def _wrap(text: str, prec: int, context: int) -> str:
     return f"({text})" if prec < context else text
 
 
-def print_kb(formula: FormulaKB, _context: int = 0) -> str:
+def print_kb(formula: Formula, _context: int = 0) -> str:
+    """Text that the parser of the formula's language reads back as the
+    same AST; serves both languages."""
     if isinstance(formula, Top):
         return "true"
     if isinstance(formula, Atom):
@@ -608,28 +514,17 @@ def print_kb(formula: FormulaKB, _context: int = 0) -> str:
         text = (print_kb(formula.left, _PREC_AND) + " & "
                 + print_kb(formula.right, _PREC_UNARY))
         return _wrap(text, _PREC_AND, _context)
-    raise TypeError(f"not a modal formula: {formula!r}")
+    if isinstance(formula, GeqZero):
+        return _wrap(f"{print_term(formula.term)} >= 0", _PREC_AND, _context)
+    raise TypeError(f"not a formula: {formula!r}")
+
+
+print_l = print_kb
 
 
 def print_term(term: TermL) -> str:
     if isinstance(term, Const):
         return str(term.value)
     if isinstance(term, Scaled):
-        return f"{term.coeff}*P({print_l(term.sub)})"
+        return f"{term.coeff}*P({print_kb(term.sub)})"
     return f"{print_term(term.left)} + {print_term(term.right)}"
-
-
-def print_l(formula: FormulaL, _context: int = 0) -> str:
-    if isinstance(formula, LTop):
-        return "true"
-    if isinstance(formula, LAtom):
-        return formula.name
-    if isinstance(formula, LNot):
-        return "~" + print_l(formula.sub, _PREC_UNARY)
-    if isinstance(formula, LAnd):
-        text = (print_l(formula.left, _PREC_AND) + " & "
-                + print_l(formula.right, _PREC_UNARY))
-        return _wrap(text, _PREC_AND, _context)
-    if isinstance(formula, GeqZero):
-        return _wrap(f"{print_term(formula.term)} >= 0", _PREC_AND, _context)
-    raise TypeError(f"not a probability formula: {formula!r}")

@@ -20,7 +20,7 @@ from .core import (
     Frame,
     NeighborhoodModel,
     ProbabilityModel,
-    conditional_probability,
+    conditional_mass,
     make_neighborhood_model,
     minimal_antichain,
 )
@@ -373,9 +373,8 @@ def derive_neighborhoods(model: ProbabilityModel, c: Threshold
     frame = model.frame
     gens = []
     for cell in frame.partition:
-        cell_mass = model.mass(cell)
         believed = [x for x in cell.subsets()
-                    if model.mass(x) / cell_mass > c.value]
+                    if conditional_mass(model, x.bits, cell.bits) > c.value]
         gens.append(minimal_antichain(believed))
     return make_neighborhood_model(frame, gens)
 
@@ -391,7 +390,7 @@ def check_agreement(nbhd: NeighborhoodModel, prob: ProbabilityModel,
         world = frame.worlds[cell.indices()[0]]
         for x in cell.subsets():
             in_n = nbhd.cell_is_neighborhood(ci, x)
-            above = conditional_probability(prob, world, x) > c.value
+            above = conditional_mass(prob, x.bits, cell.bits) > c.value
             if in_n != above:
                 return Verdict.fail((world, x))
     return Verdict.ok()

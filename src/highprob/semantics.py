@@ -1,11 +1,16 @@
 """Model checking for the probability and neighborhood semantics.
 
-Evaluation is extension-based: each formula is mapped to the event where
-it is true, computed bottom-up with bitsets, so checking a formula at
-every world costs one pass.  Also here: a direct (non-expanded) evaluator
-for the counting notation, validity testing, deterministic countermodel
-enumeration for the neighborhood semantics, and seeded random search for
-the probability semantics.
+One evaluator serves both semantics and both languages.  Evaluation is
+extension-based: each formula is mapped to the event where it is true,
+computed bottom-up with bitsets, so checking a formula at every world
+costs one pass.  ``K`` is containment of the cell in both semantics (for
+probability models this is conditional probability one, by full
+support).  ``B`` is the only step that depends on the model: conditional
+probability strictly above the threshold, or membership in the cell's
+neighborhood system.  ``t >= 0`` needs a probability model.  Also here: a
+direct (non-expanded) evaluator for the counting notation, validity
+testing, deterministic countermodel enumeration for the neighborhood
+semantics, and seeded random search for the probability semantics.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ from .core import (
     Frame,
     NeighborhoodModel,
     ProbabilityModel,
+    conditional_mass,
     make_probability_model,
 )
 from .errors import BoundTooLarge
@@ -29,14 +35,9 @@ from .formula import (
     Atom,
     B,
     Const,
-    FormulaKB,
-    FormulaL,
+    Formula,
     GeqZero,
     K,
-    LAnd,
-    LAtom,
-    LNot,
-    LTop,
     Not,
     Scaled,
     TermL,
@@ -50,75 +51,97 @@ MAX_ENUM_WORLDS = 5
 
 
 # ---------------------------------------------------------------------------
-# Probability semantics
+# The evaluator
 
-def _term_value(model: ProbabilityModel, cell: EventSet, term: TermL
-                ) -> Fraction:
-    if isinstance(term, Const):
-        return term.value
-    if isinstance(term, Scaled):
-        ext = extension_l(model, term.sub)
-        cond = model.mass(ext.intersection(cell)) / model.mass(cell)
-        return term.coeff * cond
-    return (_term_value(model, cell, term.left)
-            + _term_value(model, cell, term.right))
+def _extension(model, formula: Formula, c: Fraction | None) -> EventSet:
+    """The event where the formula is true.
 
-
-def extension_l(model: ProbabilityModel, formula: FormulaL) -> EventSet:
-    """The event where the probability-language formula is true.
-
-    Comparisons depend on a world only through its equivalence class, so
-    they are decided once per cell.  Unknown atoms have empty extension.
+    ``c`` is the belief threshold; a probability model needs it only to
+    evaluate ``B``, a neighborhood model ignores it.  Comparisons and
+    modalities depend on a world only through its cell, so they are
+    decided once per cell.  Unknown atoms have empty extension.
     """
     frame = model.frame
-    if isinstance(formula, LTop):
-        return EventSet.full(frame.size)
-    if isinstance(formula, LAtom):
-        return frame.atom_extension(formula.name)
-    if isinstance(formula, LNot):
-        return extension_l(model, formula.sub).complement()
-    if isinstance(formula, LAnd):
-        return extension_l(model, formula.left).intersection(
-            extension_l(model, formula.right))
-    if isinstance(formula, GeqZero):
-        bits = 0
-        for cell in frame.partition:
-            if _term_value(model, cell, formula.term) >= 0:
-                bits |= cell.bits
-        return EventSet(bits, frame.size)
-    raise TypeError(f"not a probability formula: {formula!r}")
-
-
-def eval_l(model: ProbabilityModel, world: str, formula: FormulaL) -> bool:
-    return model.frame.windex(world) in extension_l(model, formula)
-
-
-def extension_kb_prob(model: ProbabilityModel, formula: FormulaKB,
-                      c: Threshold) -> EventSet:
-    """Direct threshold evaluation: K is conditional probability one, B is
-    conditional probability strictly above c."""
-    frame = model.frame
-    if isinstance(formula, Top):
-        return EventSet.full(frame.size)
     if isinstance(formula, Atom):
         return frame.atom_extension(formula.name)
     if isinstance(formula, Not):
-        return extension_kb_prob(model, formula.sub, c).complement()
+        return _extension(model, formula.sub, c).complement()
     if isinstance(formula, And):
-        return extension_kb_prob(model, formula.left, c).intersection(
-            extension_kb_prob(model, formula.right, c))
-    if isinstance(formula, (K, B)):
-        sub = extension_kb_prob(model, formula.sub, c)
-        bits = 0
+        return _extension(model, formula.left, c).intersection(
+            _extension(model, formula.right, c))
+    if isinstance(formula, Top):
+        return EventSet.full(frame.size)
+    bits = 0
+    if isinstance(formula, K):
+        sub = _extension(model, formula.sub, c)
         for cell in frame.partition:
-            cond = model.mass(sub.intersection(cell)) / model.mass(cell)
-            if cond == 1 if isinstance(formula, K) else cond > c.value:
+            if cell.issubset(sub):
                 bits |= cell.bits
-        return EventSet(bits, frame.size)
-    raise TypeError(f"not a modal formula: {formula!r}")
+    elif isinstance(formula, B):
+        sub = _extension(model, formula.sub, c)
+        for ci, cell in enumerate(frame.partition):
+            if _believes(model, ci, cell, sub.intersection(cell), c):
+                bits |= cell.bits
+    elif isinstance(formula, GeqZero):
+        if not isinstance(model, ProbabilityModel):
+            raise TypeError("probability terms need a probability model")
+        for cell in frame.partition:
+            if _term_value(model, cell, formula.term, c) >= 0:
+                bits |= cell.bits
+    else:
+        raise TypeError(f"not a formula: {formula!r}")
+    return EventSet(bits, frame.size)
 
 
-def eval_kb_prob(model: ProbabilityModel, world: str, formula: FormulaKB,
+def _believes(model, ci: int, cell: EventSet, event: EventSet,
+              c: Fraction | None) -> bool:
+    """Whether cell ``ci`` believes the event, a subset of the cell."""
+    if isinstance(model, ProbabilityModel):
+        return conditional_mass(model, event.bits, cell.bits) > c
+    return model.cell_is_neighborhood(ci, event)
+
+
+def _term_value(model: ProbabilityModel, cell: EventSet, term: TermL,
+                c: Fraction | None) -> Fraction:
+    if isinstance(term, Const):
+        return term.value
+    if isinstance(term, Scaled):
+        ext = _extension(model, term.sub, c)
+        return term.coeff * conditional_mass(model, ext.bits, cell.bits)
+    return (_term_value(model, cell, term.left, c)
+            + _term_value(model, cell, term.right, c))
+
+
+def _threshold_for(model, c: Threshold | None) -> Fraction | None:
+    """The evaluator's threshold: required for a probability model,
+    ignored for a neighborhood model."""
+    if not isinstance(model, ProbabilityModel):
+        return None
+    if c is None:
+        raise ValueError("probability models need a threshold")
+    return c.value
+
+
+# ---------------------------------------------------------------------------
+# Probability semantics
+
+def extension_l(model: ProbabilityModel, formula: Formula) -> EventSet:
+    """The event where the probability-language formula is true."""
+    return _extension(model, formula, None)
+
+
+def eval_l(model: ProbabilityModel, world: str, formula: Formula) -> bool:
+    return model.frame.windex(world) in extension_l(model, formula)
+
+
+def extension_kb_prob(model: ProbabilityModel, formula: Formula,
+                      c: Threshold) -> EventSet:
+    """Direct threshold evaluation: K is conditional probability one, B is
+    conditional probability strictly above c."""
+    return _extension(model, formula, c.value)
+
+
+def eval_kb_prob(model: ProbabilityModel, world: str, formula: Formula,
                  c: Threshold) -> bool:
     return model.frame.windex(world) in extension_kb_prob(model, formula, c)
 
@@ -126,38 +149,14 @@ def eval_kb_prob(model: ProbabilityModel, world: str, formula: FormulaKB,
 # ---------------------------------------------------------------------------
 # Neighborhood semantics
 
-def extension_kb_nbhd(model: NeighborhoodModel, formula: FormulaKB
+def extension_kb_nbhd(model: NeighborhoodModel, formula: Formula
                       ) -> EventSet:
     """K via cell containment; B via membership of the cell-restricted
     extension in the (upward-closed) neighborhood system."""
-    frame = model.frame
-    if isinstance(formula, Top):
-        return EventSet.full(frame.size)
-    if isinstance(formula, Atom):
-        return frame.atom_extension(formula.name)
-    if isinstance(formula, Not):
-        return extension_kb_nbhd(model, formula.sub).complement()
-    if isinstance(formula, And):
-        return extension_kb_nbhd(model, formula.left).intersection(
-            extension_kb_nbhd(model, formula.right))
-    if isinstance(formula, K):
-        sub = extension_kb_nbhd(model, formula.sub)
-        bits = 0
-        for cell in frame.partition:
-            if cell.issubset(sub):
-                bits |= cell.bits
-        return EventSet(bits, frame.size)
-    if isinstance(formula, B):
-        sub = extension_kb_nbhd(model, formula.sub)
-        bits = 0
-        for ci, cell in enumerate(frame.partition):
-            if model.cell_is_neighborhood(ci, sub.intersection(cell)):
-                bits |= cell.bits
-        return EventSet(bits, frame.size)
-    raise TypeError(f"not a modal formula: {formula!r}")
+    return _extension(model, formula, None)
 
 
-def eval_kb_nbhd(model: NeighborhoodModel, world: str, formula: FormulaKB
+def eval_kb_nbhd(model: NeighborhoodModel, world: str, formula: Formula
                  ) -> bool:
     return model.frame.windex(world) in extension_kb_nbhd(model, formula)
 
@@ -178,14 +177,9 @@ def eval_segerberg_direct(model, world: str, phis, psis, mode: str = "I",
                 and eval_segerberg_direct(model, world, psis, phis, "I", c))
     if mode != "I":
         raise ValueError(f"unknown mode {mode!r}")
-    if isinstance(model, ProbabilityModel):
-        if c is None:
-            raise ValueError("probability models need a threshold")
-        exts_p = [extension_kb_prob(model, f, c) for f in phis]
-        exts_q = [extension_kb_prob(model, f, c) for f in psis]
-    else:
-        exts_p = [extension_kb_nbhd(model, f) for f in phis]
-        exts_q = [extension_kb_nbhd(model, f) for f in psis]
+    value = _threshold_for(model, c)
+    exts_p = [_extension(model, f, value) for f in phis]
+    exts_q = [_extension(model, f, value) for f in psis]
     cell = model.frame.class_of(world)
     for v in cell.indices():
         if (sum(1 for e in exts_p if v in e)
@@ -197,14 +191,11 @@ def eval_segerberg_direct(model, world: str, phis, psis, mode: str = "I",
 # ---------------------------------------------------------------------------
 # Validity
 
-def valid_in_model(model, formula: FormulaKB,
+def valid_in_model(model, formula: Formula,
                    c: Threshold | None = None) -> bool:
     """True at every world of the model."""
-    if isinstance(model, ProbabilityModel):
-        if c is None:
-            raise ValueError("probability models need a threshold")
-        return extension_kb_prob(model, formula, c).complement().is_empty()
-    return extension_kb_nbhd(model, formula).complement().is_empty()
+    ext = _extension(model, formula, _threshold_for(model, c))
+    return ext.complement().is_empty()
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +296,7 @@ def enumerate_neighborhood_models(max_worlds: int, atoms,
                     yield NeighborhoodModel(frame, gen_choice)
 
 
-def find_nbhd_countermodel(formula: FormulaKB, max_worlds: int,
+def find_nbhd_countermodel(formula: Formula, max_worlds: int,
                            require_mid_threshold: bool = False
                            ) -> CountermodelResult:
     """First falsifying pointed neighborhood model in enumeration order."""
@@ -354,7 +345,7 @@ def sample_probability_model(rng: random.Random, max_worlds: int, atoms,
     return make_probability_model(frame, weights)
 
 
-def random_formula(rng: random.Random, atoms, depth: int) -> FormulaKB:
+def random_formula(rng: random.Random, atoms, depth: int) -> Formula:
     """Random modal formula over the given atoms, connective-balanced."""
     atoms = tuple(atoms)
     if depth == 0 or (atoms and rng.randrange(5) == 0):
@@ -372,7 +363,7 @@ def random_formula(rng: random.Random, atoms, depth: int) -> FormulaKB:
     return B(random_formula(rng, atoms, depth - 1))
 
 
-def sample_prob_countermodel(formula: FormulaKB, c: Threshold, trials: int,
+def sample_prob_countermodel(formula: Formula, c: Threshold, trials: int,
                              max_worlds: int, seed: int
                              ) -> CountermodelResult:
     """Seeded random falsification search for the probability semantics."""

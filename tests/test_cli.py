@@ -8,6 +8,16 @@ from highprob.core import ProbabilityModel
 from highprob.corpus import horses_cut, walley_fine_model
 
 
+PROB_DOC = {"kind": "probability", "worlds": ["w1", "w2"],
+            "partition": [["w1", "w2"]],
+            "valuation": {"w1": ["p"], "w2": []},
+            "weights": {"w1": "1/3", "w2": "2/3"}}
+NBHD_DOC = {"kind": "neighborhood", "worlds": ["w1", "w2"],
+            "partition": [["w1", "w2"]],
+            "valuation": {"w1": ["p"], "w2": []},
+            "generators": [[["w1"]]]}
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
@@ -30,6 +40,13 @@ class TestModelFiles:
     def test_rationals_as_strings(self):
         doc = model_to_dict(horses_cut())
         assert doc["weights"]["w1"] == "1/2"
+
+    def test_integer_and_string_weights(self):
+        one = model_from_dict(dict(PROB_DOC, worlds=["w1"],
+                                   partition=[["w1"]], weights={"w1": 1}))
+        assert one.weights == (Fraction(1),)
+        assert model_from_dict(PROB_DOC).weights == (Fraction(1, 3),
+                                                     Fraction(2, 3))
 
     def test_unknown_kind(self):
         from highprob.errors import HighProbError
@@ -62,6 +79,12 @@ class TestEval:
     def test_missing_threshold_is_an_error(self, capsys):
         code, _, err = run(capsys, "eval", "--model", "horses1",
                            "--world", "w1", "--formula", "B h1")
+        assert code == 2 and "threshold" in err
+
+    def test_text_both_languages_read_is_modal(self, capsys):
+        # "h1" parses in both languages; the modal reading needs a threshold
+        code, _, err = run(capsys, "eval", "--model", "horses1",
+                           "--world", "w1", "--formula", "h1")
         assert code == 2 and "threshold" in err
 
     def test_json_flag_both_positions(self, capsys):
@@ -244,6 +267,44 @@ class TestErrorContract:
     def test_duplicate_worlds(self, capsys):
         err = self.assert_error(capsys, "comparative", "--universe", "a a")
         assert "duplicate" in err
+
+    def assert_bad_model(self, capsys, tmp_path, doc):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        return self.assert_error(capsys, "eval", "--model", str(path),
+                                 "--world", "w1", "--formula", "p",
+                                 "--threshold", "1/2")
+
+    def test_generator_names_unknown_world(self, capsys, tmp_path):
+        err = self.assert_bad_model(capsys, tmp_path, dict(
+            NBHD_DOC, generators=[[["w1", "w9"]]]))
+        assert "'w9'" in err
+
+    def test_valuation_not_an_object(self, capsys, tmp_path):
+        err = self.assert_bad_model(capsys, tmp_path, dict(
+            PROB_DOC, valuation=["p"]))
+        assert "'valuation'" in err
+
+    def test_null_weight(self, capsys, tmp_path):
+        err = self.assert_bad_model(capsys, tmp_path, dict(
+            PROB_DOC, weights={"w1": None, "w2": "1"}))
+        assert "'w1'" in err
+
+    def test_float_weight(self, capsys, tmp_path):
+        err = self.assert_bad_model(capsys, tmp_path, dict(
+            PROB_DOC, weights={"w1": 0.5, "w2": 0.5}))
+        assert "'w1'" in err
+
+    def test_bool_weight(self, capsys, tmp_path):
+        err = self.assert_bad_model(capsys, tmp_path, dict(
+            PROB_DOC, worlds=["w1"], partition=[["w1"]],
+            weights={"w1": True}))
+        assert "'w1'" in err
+
+    def test_partition_names_unknown_world(self, capsys, tmp_path):
+        err = self.assert_bad_model(capsys, tmp_path, dict(
+            PROB_DOC, partition=[["w1", "w9"]]))
+        assert "'w9'" in err
 
     def test_formula_nested_too_deep(self, capsys):
         err = self.assert_error(capsys, "eval", "--model", "horses3",

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from highprob.errors import ExpansionTooLarge, FormulaSyntaxError
 from highprob.formula import (
-    LTOP,
     TOP,
     And,
     Atom,
@@ -14,9 +13,6 @@ from highprob.formula import (
     Const,
     GeqZero,
     K,
-    LAnd,
-    LAtom,
-    LNot,
     Not,
     Threshold,
     TSum,
@@ -97,9 +93,21 @@ class TestParsing:
         with pytest.raises(FormulaSyntaxError):
             parse_kb("")
 
+    def test_language_boundaries(self):
+        with pytest.raises(FormulaSyntaxError) as err:
+            parse_kb("P(p) > 1/2")
+        assert err.value.offset == 0
+        assert err.value.expected == {"TRUE", "FALSE", "IDENT", "LPAREN",
+                                      "NOT", "K", "B"}
+        with pytest.raises(FormulaSyntaxError) as err:
+            parse_l("K p")
+        assert err.value.offset == 0
+        assert err.value.expected == {"TRUE", "FALSE", "IDENT", "LPAREN",
+                                      "NOT", "RAT", "P"}
+
     def test_parse_l(self):
         assert parse_l("P(p & q) > 1/3") == l_gt(
-            prob(LAnd(LAtom("p"), LAtom("q"))), Const(Fraction(1, 3)))
+            prob(And(Atom("p"), Atom("q"))), Const(Fraction(1, 3)))
         got = parse_l("P(p) >= 1/2 & ~(P(q) < 1)")
         assert parse_l(print_l(got)) == got
 
@@ -122,14 +130,14 @@ RATS = st.tuples(st.integers(-40, 40), st.integers(1, 12)).map(
 
 def l_formulas(depth=2):
     atom = st.one_of(
-        st.just(LTOP),
-        st.sampled_from(["p", "q", "r"]).map(LAtom),
-        l_terms(depth - 1).map(GeqZero) if depth > 0 else st.just(LTOP))
+        st.just(TOP),
+        st.sampled_from(["p", "q", "r"]).map(Atom),
+        l_terms(depth - 1).map(GeqZero) if depth > 0 else st.just(TOP))
     return st.recursive(
         atom,
         lambda sub: st.one_of(
-            sub.map(LNot),
-            st.tuples(sub, sub).map(lambda ab: LAnd(*ab))),
+            sub.map(Not),
+            st.tuples(sub, sub).map(lambda ab: And(*ab))),
         max_leaves=8)
 
 
@@ -162,14 +170,14 @@ class TestRoundTrip:
 
 class TestTranslation:
     def test_knowledge_is_certainty(self):
-        assert translate(K(p), HALF) == l_eq(prob(LAtom("p")), Const(1))
-        assert translate(B(p), HALF) == l_gt(prob(LAtom("p")),
+        assert translate(K(p), HALF) == l_eq(prob(Atom("p")), Const(1))
+        assert translate(B(p), HALF) == l_gt(prob(Atom("p")),
                                              Const(Fraction(1, 2)))
 
     def test_compositional(self):
         t = translate(And(Not(K(p)), B(q)), Threshold(Fraction(2, 3)))
-        assert isinstance(t, LAnd)
-        assert isinstance(t.left, LNot)
+        assert isinstance(t, And)
+        assert isinstance(t.left, Not)
 
     def test_nesting_translates_inner_first(self):
         inner = translate(B(p), HALF)

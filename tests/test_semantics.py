@@ -16,6 +16,7 @@ from highprob.formula import (
     or_,
     parse_kb,
     parse_l,
+    translate,
 )
 from highprob.neighborhood import derive_neighborhoods
 from highprob.semantics import (
@@ -24,6 +25,8 @@ from highprob.semantics import (
     eval_kb_prob,
     eval_l,
     eval_segerberg_direct,
+    extension_kb_prob,
+    extension_l,
     find_nbhd_countermodel,
     random_formula,
     sample_prob_countermodel,
@@ -214,3 +217,17 @@ class TestValidity:
         assert not valid_in_model(horses_cut(), parse_kb("B h1"), HALF)
         assert valid_in_model(walley_fine_model(),
                               parse_kb("B (e | f | g) -> ~B (a | b | c | d)"))
+
+
+class TestTranslationAgreement:
+    def test_threshold_semantics_matches_translation(self):
+        # K and B evaluated directly agree with P(.) = 1 and P(.) > c
+        rng = random.Random(31)
+        for c in (Fraction(1, 2), Fraction(3, 5), Fraction(2, 3)):
+            c = Threshold(c)
+            for _ in range(40):
+                m = sample_probability_model(rng, 5, ("p", "q"))
+                for _ in range(5):
+                    f = random_formula(rng, ("p", "q"), 4)
+                    assert extension_kb_prob(m, f, c) \
+                        == extension_l(m, translate(f, c))
