@@ -38,7 +38,6 @@ from .formula import Threshold, parse_kb, parse_l
 from .neighborhood import (
     PropertyReport,
     ScottWitness,
-    Verdict,
     check_agreement,
     check_base_properties,
     check_conjectured,
@@ -90,7 +89,7 @@ def model_from_dict(doc: dict):
     if not isinstance(doc, dict):
         raise HighProbError("a model document must be a JSON object")
     kind = doc.get("kind")
-    if kind not in _KIND_KEY:
+    if not isinstance(kind, str) or kind not in _KIND_KEY:
         raise HighProbError(f"unknown model kind {kind!r}")
     for key in ("worlds", "partition", "valuation", _KIND_KEY[kind]):
         if key not in doc:
@@ -186,8 +185,7 @@ def _names(frame: Frame, event: EventSet) -> list[str]:
     return list(frame.names(event))
 
 
-def _witness_payload(frame: Frame, verdict: Verdict):
-    w = verdict.witness
+def _witness_payload(frame: Frame, w):
     if w is None:
         return None
     if isinstance(w, ScottWitness):
@@ -203,9 +201,19 @@ def _witness_payload(frame: Frame, verdict: Verdict):
     return str(w)
 
 
+def _witness_line(frame: Frame, condition: str, w) -> str:
+    """One line naming a failed condition, its cell and its sets."""
+    def show(sets):
+        return " ".join("{" + ",".join(frame.names(x)) + "}" for x in sets)
+    head = f"witness: {condition} fails in cell {w.cell_index}"
+    if isinstance(w, ScottWitness):
+        return f"{head}, m = {len(w.xs)}: X {show(w.xs)}; Y {show(w.ys)}"
+    return f"{head}: {show(w.sets)}"
+
+
 def _report_payload(frame: Frame, report: PropertyReport) -> dict:
     return {name: {"holds": v.holds,
-                   "witness": _witness_payload(frame, v)}
+                   "witness": _witness_payload(frame, v.witness)}
             for name, v in report.verdicts}
 
 
@@ -290,8 +298,16 @@ def cmd_synthesize(args) -> int:
         raise HighProbError("synthesize expects a neighborhood model")
     result = synthesize_measure(model, _threshold(args.threshold))
     if not result.feasible:
-        _emit(args, {"feasible": False, "cell": result.failed_cell},
-              "INFEASIBLE")
+        payload: dict = {"feasible": False, "cell": result.failed_cell}
+        lines = ["INFEASIBLE"]
+        w = result.witness
+        if w is not None:
+            payload["witness"] = {"condition": result.condition,
+                                  **_witness_payload(model.frame, w)}
+            if isinstance(w, ScottWitness):
+                payload["witness"]["m"] = len(w.xs)
+            lines.append(_witness_line(model.frame, result.condition, w))
+        _emit(args, payload, "\n".join(lines))
         return 1
     doc = model_to_dict(result.model)
     if args.json:

@@ -285,6 +285,10 @@ class NeighborhoodModel:
 
     frame: Frame
     generators: tuple[tuple[EventSet, ...], ...]
+    # per-cell bitmask families, filled on first use by
+    # neighborhood.cell_families
+    _families: dict = field(default_factory=dict, init=False, repr=False,
+                            compare=False)
 
     def cell_generators(self, cell_index: int) -> tuple[EventSet, ...]:
         return self.generators[cell_index]

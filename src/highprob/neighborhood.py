@@ -3,9 +3,13 @@
 Checks the five structural conditions every epistemic neighborhood system
 must satisfy, the three extra conditions characterizing systems that admit
 an agreeing measure at threshold 1/2, and the candidate conditions for
-higher thresholds.  Also derives the neighborhood system induced by a
-probability model at a given threshold and tests agreement between the two
-model kinds.
+higher thresholds.  Those among them proven necessary at a threshold give
+replayable witnesses that a cell has no agreeing measure.  Also derives
+the neighborhood system induced by a probability model at a given
+threshold and tests agreement between the two model kinds.
+
+The searches work on ``int`` bitmasks; the counting searches add count
+vectors packed into one ``int`` per set.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ from .formula import Threshold
 
 DEFAULT_M_MAX = 3
 DEFAULT_CELL_BUDGET = 6
+HALF = Fraction(1, 2)
 
 
 @dataclass(frozen=True)
@@ -132,8 +137,32 @@ def _closure_members(cell: EventSet, gens) -> list[EventSet]:
             if any(g.issubset(x) for g in gens)]
 
 
-def _in_n(gens, x: EventSet) -> bool:
-    return any(g.issubset(x) for g in gens)
+def _believed(gens: tuple[int, ...], x: int) -> bool:
+    """Some generator bitmask lies inside the bitmask x."""
+    return any(g & ~x == 0 for g in gens)
+
+
+def _members(bits: int) -> list[int]:
+    """The indices of the set bits, in increasing order."""
+    out = []
+    while bits:
+        low = bits & -bits
+        out.append(low.bit_length() - 1)
+        bits ^= low
+    return out
+
+
+def _submasks(bits: int) -> list[int]:
+    """Every submask of bits, in increasing order."""
+    out = [bits]
+    while out[-1]:
+        out.append((out[-1] - 1) & bits)
+    out.reverse()
+    return out
+
+
+def _by_size(masks) -> tuple[int, ...]:
+    return tuple(sorted(masks, key=lambda x: (x.bit_count(), x)))
 
 
 def maximal_nonneighborhoods(cell: EventSet, gens) -> tuple[EventSet, ...]:
@@ -141,18 +170,20 @@ def maximal_nonneighborhoods(cell: EventSet, gens) -> tuple[EventSet, ...]:
 
     These are the complements (within the cell) of the minimal transversals
     of the generator family: X misses every generator exactly when its
-    cell-complement hits every generator.  Computed by brute force over
-    cell subsets; budgeted to small cells.
+    cell-complement hits every generator.  Non-neighborhoods are downward
+    closed, so a non-neighborhood is maximal exactly when adding any one
+    world of the cell makes it a neighborhood.  Computed by brute force
+    over cell subsets; budgeted to small cells.
     """
     if len(cell) > 12:
         raise CellTooLargeForBruteForce(
             f"cell of size {len(cell)} exceeds the transversal budget")
-    non = [x for x in cell.subsets() if not _in_n(gens, x)]
-    out = []
-    for x in non:
-        if not any(x.ispropersubset(y) for y in non):
-            out.append(x)
-    return tuple(sorted(out, key=lambda e: (len(e), e.bits)))
+    gens = tuple(g.bits for g in gens)
+    out = [x for x in _submasks(cell.bits)
+           if not _believed(gens, x)
+           and all(_believed(gens, x | 1 << v)
+                   for v in _members(cell.bits & ~x))]
+    return tuple(EventSet(x, cell.universe_size) for x in _by_size(out))
 
 
 def minimal_dual_believed(cell: EventSet, gens) -> tuple[EventSet, ...]:
@@ -167,12 +198,79 @@ def minimal_dual_believed(cell: EventSet, gens) -> tuple[EventSet, ...]:
         key=lambda e: (len(e), e.bits)))
 
 
+def cell_families(model: NeighborhoodModel, cell_index: int
+                  ) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The cell's maximal non-neighborhoods and minimal dual-believed sets
+    as bitmasks, each sorted by (size, bits).
+
+    Computed once per model and cell: the property searches, the
+    witness search before synthesis and the synthesis LP's constraints
+    all read them from here.
+    """
+    families = model._families.get(cell_index)
+    if families is None:
+        cell = model.frame.partition[cell_index]
+        max_non = tuple(x.bits for x in maximal_nonneighborhoods(
+            cell, model.generators[cell_index]))
+        families = (max_non, _by_size(cell.bits ^ x for x in max_non))
+        model._families[cell_index] = families
+    return families
+
+
 def _count_vectors_ok(cell: EventSet, xs, ys) -> bool:
     """Every world of the cell lies in at least as many Y's as X's."""
     for v in cell.indices():
         if sum(1 for x in xs if v in x) > sum(1 for y in ys if v in y):
             return False
     return True
+
+
+def _first_dominated(cell: int, xs_of, max_non: tuple[int, ...],
+                     m_max: int):
+    """The first (xs, ys), for m = 1 .. m_max, with xs running through
+    xs_of(m) and ys through the multisets of m maximal non-neighborhoods,
+    in which every world of the cell lies in at least as many Y's as X's;
+    None if there is none.
+
+    Each set is packed into one int with a field of m_max.bit_length() + 1
+    bits per world of the cell, so a list's sum holds its count vector.
+    No field of a sum of at most m_max sets reaches the field's top bit,
+    which serves as a guard: (ysum + G) - xsum, with G the guard bits,
+    borrows from a field's guard exactly when that field's X-count
+    exceeds its Y-count.  Equal sums give equal answers, so each Y-sum is
+    kept once, at its first list, and each X-sum is tested once; the
+    first hit is therefore the first in the nested order.
+    """
+    width = m_max.bit_length() + 1
+    shift = {v: j * width for j, v in enumerate(_members(cell))}
+    guard = sum(1 << (s + width - 1) for s in shift.values())
+    packed: dict[int, int] = {}
+
+    def pack(x: int) -> int:
+        p = packed.get(x)
+        if p is None:
+            p = packed[x] = sum(1 << shift[v] for v in _members(x & cell))
+        return p
+
+    for m in range(1, m_max + 1):
+        ysums: dict[int, tuple[int, ...]] = {}
+        for ys in itertools.combinations_with_replacement(max_non, m):
+            ysums.setdefault(sum(map(pack, ys)), ys)
+        tried = set()
+        for xs in xs_of(m):
+            xsum = sum(map(pack, xs))
+            if xsum in tried:
+                continue
+            tried.add(xsum)
+            low = xsum - guard
+            for ysum, ys in ysums.items():
+                if (ysum - low) & guard == guard:
+                    return xs, ys
+    return None
+
+
+def _event_sets(masks, universe_size: int) -> tuple[EventSet, ...]:
+    return tuple(EventSet(x, universe_size) for x in masks)
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +280,7 @@ def _count_vectors_ok(cell: EventSet, xs, ys) -> bool:
 def _check_d(cell_index: int, gens) -> Verdict:
     # X and cell-X both believed iff two generators are disjoint
     for g1, g2 in itertools.combinations_with_replacement(gens, 2):
-        if g1.isdisjoint(g2):
+        if g1.bits & g2.bits == 0:
             return Verdict.fail(CellSetWitness(cell_index, (g1, g2)))
     return Verdict.ok()
 
@@ -193,17 +291,19 @@ def _check_sc(cell_index: int, cell: EventSet, gens) -> Verdict:
     if len(cell) > 12:
         raise CellTooLargeForBruteForce(
             f"cell of size {len(cell)} exceeds the subset budget")
-    for y in cell.subsets():
-        if _in_n(gens, y):
+    gens = tuple(g.bits for g in gens)
+    for y in _submasks(cell.bits):
+        if _believed(gens, y):
             continue
-        for v in y.indices():
-            x = EventSet(y.bits & ~(1 << v), y.universe_size)
-            if not _in_n(gens, cell.difference(x)):
-                return Verdict.fail(CellSetWitness(cell_index, (x, y)))
+        for v in _members(y):
+            x = y & ~(1 << v)
+            if not _believed(gens, cell.bits & ~x):
+                return Verdict.fail(CellSetWitness(
+                    cell_index, _event_sets((x, y), cell.universe_size)))
     return Verdict.ok()
 
 
-def _check_scott_cell(cell_index: int, cell: EventSet, gens, m_max: int,
+def _check_scott_cell(model: NeighborhoodModel, cell_index: int, m_max: int,
                       cell_budget: int) -> Verdict:
     """Bounded search for a counting-transfer violation in one cell.
 
@@ -213,23 +313,26 @@ def _check_scott_cell(cell_index: int, cell: EventSet, gens, m_max: int,
     minimal sets whose cell-complement is not a neighborhood, and the Y's
     over the maximal non-neighborhoods.
     """
+    cell = model.frame.partition[cell_index]
     if len(cell) > cell_budget:
         raise CellTooLargeForBruteForce(
             f"cell of size {len(cell)} exceeds budget {cell_budget}")
-    max_non = maximal_nonneighborhoods(cell, gens)
+    max_non, min_dual = cell_families(model, cell_index)
     if not max_non:
         return Verdict.ok()  # every subset believed; conclusion always holds
-    min_dual = minimal_dual_believed(cell, gens)
-    for m in range(1, m_max + 1):
-        for x1 in gens:
-            for rest in itertools.combinations_with_replacement(
-                    min_dual, m - 1):
-                xs = (x1,) + rest
-                for ys in itertools.combinations_with_replacement(
-                        max_non, m):
-                    if _count_vectors_ok(cell, xs, ys):
-                        return Verdict.fail(ScottWitness(cell_index, xs, ys))
-    return Verdict.ok()
+    gens = tuple(g.bits for g in model.generators[cell_index])
+    found = _first_dominated(
+        cell.bits,
+        lambda m: ((x1,) + rest for x1 in gens
+                   for rest in itertools.combinations_with_replacement(
+                       min_dual, m - 1)),
+        max_non, m_max)
+    if found is None:
+        return Verdict.ok()
+    xs, ys = found
+    n = cell.universe_size
+    return Verdict.fail(ScottWitness(cell_index, _event_sets(xs, n),
+                                     _event_sets(ys, n)))
 
 
 def check_mid_threshold(model: NeighborhoodModel,
@@ -246,7 +349,7 @@ def check_mid_threshold(model: NeighborhoodModel,
         if sc.holds:
             sc = _check_sc(ci, cell, gens)
         if scott.holds:
-            scott = _check_scott_cell(ci, cell, gens, m_max, cell_budget)
+            scott = _check_scott_cell(model, ci, m_max, cell_budget)
     return PropertyReport((("d", d), ("sc", sc), ("scott", scott)))
 
 
@@ -262,16 +365,16 @@ def verify_scott_witness(model: NeighborhoodModel, cell_index: int,
     xs, ys = tuple(xs), tuple(ys)
     if len(xs) != len(ys) or not xs:
         return False
-    gens = model.generators[cell_index]
+    gens = tuple(g.bits for g in model.generators[cell_index])
     if not all(x.issubset(cell) for x in xs + ys):
         return False
     if not _count_vectors_ok(cell, xs, ys):
         return False
-    if not _in_n(gens, xs[0]):
+    if not _believed(gens, xs[0].bits):
         return False
-    if any(_in_n(gens, cell.difference(x)) for x in xs[1:]):
+    if any(_believed(gens, cell.bits & ~x.bits) for x in xs[1:]):
         return False
-    return not any(_in_n(gens, y) for y in ys)
+    return not any(_believed(gens, y.bits) for y in ys)
 
 
 # ---------------------------------------------------------------------------
@@ -284,54 +387,73 @@ def threshold_step(c: Threshold) -> tuple[Fraction, int]:
     return s_prime, ceil(s_prime)
 
 
-def _check_sc0(cell_index: int, cell: EventSet, gens, s: int) -> Verdict:
+def _active_scheme(c: Threshold) -> tuple[str, int, bool]:
+    """The disjoint-union scheme in force at c: its name, s, and whether
+    it is the 0-indexed one (s = s')."""
+    s_prime, s = threshold_step(c)
+    exact = s_prime == s
+    return (f"sc0^{s}" if exact else f"sc1^{s}"), s, exact
+
+
+def _disjoint_duals(model: NeighborhoodModel, cell_index: int, s: int):
+    """Each s pairwise disjoint minimal dual-believed sets, with their
+    union, in combination order."""
+    for xs in itertools.combinations(cell_families(model, cell_index)[1], s):
+        union = 0
+        for x in xs:
+            if union & x:
+                break
+            union |= x
+        else:
+            yield xs, union
+
+
+def _check_sc0(model: NeighborhoodModel, cell_index: int, s: int) -> Verdict:
     # pairwise disjoint X's whose cell-complements are unbelieved, plus a
     # proper superset Y of their union that is unbelieved; one-point
     # extensions of the union suffice for Y
-    min_dual = minimal_dual_believed(cell, gens)
-    for xs in itertools.combinations(min_dual, s):
-        if any(not a.isdisjoint(b)
-               for a, b in itertools.combinations(xs, 2)):
-            continue
-        union = EventSet.empty(cell.universe_size)
-        for x in xs:
-            union = union.union(x)
-        for v in cell.difference(union).indices():
-            y = EventSet(union.bits | (1 << v), union.universe_size)
-            if not _in_n(gens, y):
-                return Verdict.fail(CellSetWitness(cell_index, xs + (y,)))
+    cell = model.frame.partition[cell_index]
+    gens = tuple(g.bits for g in model.generators[cell_index])
+    for xs, union in _disjoint_duals(model, cell_index, s):
+        for v in _members(cell.bits & ~union):
+            y = union | 1 << v
+            if not _believed(gens, y):
+                return Verdict.fail(CellSetWitness(
+                    cell_index, _event_sets(xs + (y,), cell.universe_size)))
     return Verdict.ok()
 
 
-def _check_sc1(cell_index: int, cell: EventSet, gens, s: int) -> Verdict:
-    min_dual = minimal_dual_believed(cell, gens)
-    for xs in itertools.combinations(min_dual, s):
-        if any(not a.isdisjoint(b)
-               for a, b in itertools.combinations(xs, 2)):
-            continue
-        union = EventSet.empty(cell.universe_size)
-        for x in xs:
-            union = union.union(x)
-        if not _in_n(gens, union):
-            return Verdict.fail(CellSetWitness(cell_index, xs))
+def _check_sc1(model: NeighborhoodModel, cell_index: int, s: int) -> Verdict:
+    cell = model.frame.partition[cell_index]
+    gens = tuple(g.bits for g in model.generators[cell_index])
+    for xs, union in _disjoint_duals(model, cell_index, s):
+        if not _believed(gens, union):
+            return Verdict.fail(CellSetWitness(
+                cell_index, _event_sets(xs, cell.universe_size)))
     return Verdict.ok()
 
 
-def _check_ws_cell(cell_index: int, cell: EventSet, gens, m_max: int,
+def _check_ws_cell(model: NeighborhoodModel, cell_index: int, m_max: int,
                    cell_budget: int) -> Verdict:
     # like the counting-transfer check but with every X a neighborhood
+    cell = model.frame.partition[cell_index]
     if len(cell) > cell_budget:
         raise CellTooLargeForBruteForce(
             f"cell of size {len(cell)} exceeds budget {cell_budget}")
-    max_non = maximal_nonneighborhoods(cell, gens)
+    max_non = cell_families(model, cell_index)[0]
     if not max_non:
         return Verdict.ok()
-    for m in range(1, m_max + 1):
-        for xs in itertools.combinations_with_replacement(gens, m):
-            for ys in itertools.combinations_with_replacement(max_non, m):
-                if _count_vectors_ok(cell, xs, ys):
-                    return Verdict.fail(ScottWitness(cell_index, xs, ys))
-    return Verdict.ok()
+    gens = tuple(g.bits for g in model.generators[cell_index])
+    found = _first_dominated(
+        cell.bits,
+        lambda m: itertools.combinations_with_replacement(gens, m),
+        max_non, m_max)
+    if found is None:
+        return Verdict.ok()
+    xs, ys = found
+    n = cell.universe_size
+    return Verdict.fail(ScottWitness(cell_index, _event_sets(xs, n),
+                                     _event_sets(ys, n)))
 
 
 def check_conjectured(model: NeighborhoodModel, c: Threshold,
@@ -345,21 +467,126 @@ def check_conjectured(model: NeighborhoodModel, c: Threshold,
     These are candidate necessary conditions for the existence of an
     agreeing measure at threshold c; passing them decides nothing.
     """
-    if c.value < Fraction(1, 2):
+    if c.value < HALF:
         raise ValueError("conjectured properties apply only for c >= 1/2")
-    s_prime, s = threshold_step(c)
-    exact = s_prime == s
-    name = f"sc0^{s}" if exact else f"sc1^{s}"
+    name, s, exact = _active_scheme(c)
     frame = model.frame
     active = ws = Verdict.ok()
-    for ci, cell in enumerate(frame.partition):
-        gens = model.generators[ci]
+    for ci in range(len(frame.partition)):
         if active.holds:
-            active = (_check_sc0(ci, cell, gens, s) if exact
-                      else _check_sc1(ci, cell, gens, s))
+            active = (_check_sc0(model, ci, s) if exact
+                      else _check_sc1(model, ci, s))
         if ws.holds:
-            ws = _check_ws_cell(ci, cell, gens, m_max, cell_budget)
+            ws = _check_ws_cell(model, ci, m_max, cell_budget)
     return PropertyReport(((name, active), ("ws", ws)))
+
+
+# ---------------------------------------------------------------------------
+# Witnesses of infeasibility
+
+
+def _necessary_conditions(model: NeighborhoodModel, cell_index: int,
+                          c: Threshold):
+    """(name, verdict) of each cell condition that an agreeing measure at
+    c must satisfy, computed lazily.
+
+    At 1/2: consistency, strong commitment and bounded counting transfer
+    (Scott's theorem makes each necessary).  Above 1/2: consistency, the
+    active disjoint-union scheme and the weak counting condition (their
+    proofs only add and compare the measure's bounds; two disjoint sets
+    above c > 1/2 would weigh more than the cell).  Nothing below 1/2.
+    """
+    cell = model.frame.partition[cell_index]
+    gens = model.generators[cell_index]
+    if c.value >= HALF:
+        yield "d", _check_d(cell_index, gens)
+    if c.value == HALF:
+        yield "sc", _check_sc(cell_index, cell, gens)
+        yield "scott", _check_scott_cell(model, cell_index, DEFAULT_M_MAX,
+                                         DEFAULT_CELL_BUDGET)
+    elif c.value > HALF:
+        name, s, exact = _active_scheme(c)
+        yield name, (_check_sc0(model, cell_index, s) if exact
+                     else _check_sc1(model, cell_index, s))
+        yield "ws", _check_ws_cell(model, cell_index, DEFAULT_M_MAX,
+                                   DEFAULT_CELL_BUDGET)
+
+
+def infeasibility_witness(model: NeighborhoodModel, cell_index: int,
+                          c: Threshold):
+    """(condition, witness) proving that no measure agrees with the cell's
+    system at c, found by the bounded property searches, or None.
+
+    None means only that the searches found nothing: always below 1/2
+    and on cells larger than DEFAULT_CELL_BUDGET, which they skip.
+    """
+    if len(model.frame.partition[cell_index]) > DEFAULT_CELL_BUDGET:
+        return None
+    return next(((name, verdict.witness) for name, verdict
+                 in _necessary_conditions(model, cell_index, c)
+                 if not verdict.holds), None)
+
+
+def replay_witness(model: NeighborhoodModel, c: Threshold, condition: str,
+                   witness) -> bool:
+    """Re-check a witness from infeasibility_witness without search.
+
+    True when the condition is one the searches run at c and the sets
+    fail it inside the witness's cell.
+    """
+    ci = witness.cell_index
+    if not 0 <= ci < len(model.frame.partition):
+        return False
+    cell = model.frame.partition[ci]
+    gens = tuple(g.bits for g in model.generators[ci])
+    if c.value == HALF:
+        names = ("d", "sc", "scott")
+    elif c.value > HALF:
+        names = ("d", _active_scheme(c)[0], "ws")
+    else:
+        names = ()
+    counting = condition in ("scott", "ws")
+    if condition not in names or not isinstance(
+            witness, ScottWitness if counting else CellSetWitness):
+        return False
+    if counting:
+        xs, ys = tuple(witness.xs), tuple(witness.ys)
+        if condition == "scott":
+            return verify_scott_witness(model, ci, xs, ys)
+        return (len(xs) == len(ys) > 0
+                and all(x.issubset(cell) for x in xs + ys)
+                and _count_vectors_ok(cell, xs, ys)
+                and all(_believed(gens, x.bits) for x in xs)
+                and not any(_believed(gens, y.bits) for y in ys))
+    sets = tuple(x.bits for x in witness.sets)
+    if any(x & ~cell.bits for x in sets):
+        return False
+    if condition == "d":
+        return (len(sets) == 2 and sets[0] & sets[1] == 0
+                and all(_believed(gens, x) for x in sets))
+    if condition == "sc":
+        if len(sets) != 2:
+            return False
+        x, y = sets
+        return (x & ~y == 0 and x != y and not _believed(gens, y)
+                and not _believed(gens, cell.bits & ~x))
+    # the disjoint-union schemes: s disjoint X's with unbelieved
+    # cell-complements, then an unbelieved proper superset of their
+    # union (sc0) or their unbelieved union itself (sc1)
+    _, s, exact = _active_scheme(c)
+    xs = sets[:s]
+    if len(sets) != (s + 1 if exact else s) \
+            or any(_believed(gens, cell.bits & ~x) for x in xs):
+        return False
+    union = 0
+    for x in xs:
+        if union & x:
+            return False
+        union |= x
+    if not exact:
+        return not _believed(gens, union)
+    y = sets[s]
+    return union & ~y == 0 and union != y and not _believed(gens, y)
 
 
 # ---------------------------------------------------------------------------

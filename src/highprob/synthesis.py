@@ -8,6 +8,17 @@ The reduced costs are kept as one extra tableau row that each pivot
 updates, so no iteration recomputes them from the whole tableau.
 On top of the solver sit agreeing-measure synthesis for neighborhood
 models and realizability checking for comparative-probability relations.
+
+Synthesis is certificate-first.  Before a cell's LP is built, the
+bounded property searches of ``neighborhood`` look for a failed
+condition that every agreeing measure at c must satisfy: consistency,
+strong commitment and counting transfer (m <= 3) at c = 1/2;
+consistency, the active disjoint-union scheme and the weak counting
+condition above 1/2; nothing below 1/2 or on cells larger than
+``DEFAULT_CELL_BUDGET``.  A witness is replayed without search and
+returned on the result in place of a bare infeasible verdict, with the
+failed cell the LP would report; the CLI prints it as one ``witness:``
+line.  Only cells without a witness reach the simplex.
 """
 
 from __future__ import annotations
@@ -26,9 +37,13 @@ from .core import (
 from .errors import UniverseTooLarge
 from .formula import Threshold
 from .neighborhood import (
+    CellSetWitness,
     PropertyReport,
+    ScottWitness,
     Verdict,
-    maximal_nonneighborhoods,
+    cell_families,
+    infeasibility_witness,
+    replay_witness,
 )
 
 _RELATIONS = (">=", ">", "=")
@@ -252,9 +267,15 @@ def lp_feasible(constraints: Iterable[LinearConstraint],
 
 @dataclass(frozen=True)
 class SynthesisResult:
+    """An agreeing measure, or the first cell that has none.  When the
+    property searches proved that cell infeasible, ``condition`` names
+    the failed condition and ``witness`` holds its replayed sets."""
+
     feasible: bool
     model: ProbabilityModel | None = None
     failed_cell: int | None = None
+    condition: str | None = None
+    witness: CellSetWitness | ScottWitness | None = None
 
 
 def agreement_constraints(model: NeighborhoodModel, cell_index: int,
@@ -275,10 +296,11 @@ def agreement_constraints(model: NeighborhoodModel, cell_index: int,
     for g in model.generators[cell_index]:
         cons.append(LinearConstraint(
             {names[v]: 1 for v in g.indices()}, ">", c.value))
-    for x in maximal_nonneighborhoods(cell, model.generators[cell_index]):
-        if not x.is_empty():
+    for x in cell_families(model, cell_index)[0]:
+        if x:
             cons.append(LinearConstraint(
-                {names[v]: 1 for v in x.indices()}, "<=", c.value))
+                {nm: 1 for v, nm in names.items() if x >> v & 1},
+                "<=", c.value))
     return cons, list(names.values())
 
 
@@ -289,12 +311,24 @@ def synthesize_measure(model: NeighborhoodModel, c: Threshold
 
     Cells are independent, so each is solved separately and the global
     measure weights the cells uniformly; conditional probabilities, and
-    hence agreement, do not depend on the cell weighting.
+    hence agreement, do not depend on the cell weighting.  Each cell
+    first goes through the bounded property searches for a condition
+    that an agreeing measure must satisfy; a failure is replayed and
+    reported as the cell's proof of infeasibility, and only cells
+    without one reach the LP.
     """
     frame = model.frame
     k = len(frame.partition)
     weights: dict[str, Fraction] = {}
     for ci, cell in enumerate(frame.partition):
+        found = infeasibility_witness(model, ci, c)
+        if found is not None:
+            condition, witness = found
+            if not replay_witness(model, c, condition, witness):
+                raise RuntimeError(f"the {condition} witness for cell {ci} "
+                                   "does not replay")
+            return SynthesisResult(False, failed_cell=ci,
+                                   condition=condition, witness=witness)
         cons, variables = agreement_constraints(model, ci, c)
         result = lp_feasible(cons, positivity=variables)
         if not result.feasible:

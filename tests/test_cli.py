@@ -2,6 +2,8 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from highprob.cli import main, model_from_dict, model_to_dict
 from highprob.core import ProbabilityModel
@@ -140,6 +142,35 @@ class TestPipelines:
         code, out, _ = run(capsys, "synthesize", "--model", "walley-fine",
                            "--threshold", "1/2")
         assert code == 1 and "INFEASIBLE" in out
+
+    def test_synthesize_reports_the_witness(self, capsys, tmp_path):
+        # a 5-world cell: strong commitment fails at 1/2, and a counting
+        # witness with m = 2 shows it has no measure at 2/3
+        path = tmp_path / "five.json"
+        path.write_text(json.dumps(dict(
+            NBHD_DOC, worlds=list("abcde"), partition=[list("abcde")],
+            valuation={}, generators=[[list("acd"), list("bcd"),
+                                       list("bde"), list("abce")]])))
+        code, out, _ = run(capsys, "synthesize", "--model", str(path),
+                           "--threshold", "1/2")
+        assert code == 1
+        assert out == ("INFEASIBLE\n"
+                       "witness: sc fails in cell 0: {b,c} {a,b,c}\n")
+        code, out, _ = run(capsys, "synthesize", "--model", str(path),
+                           "--threshold", "2/3")
+        assert code == 1
+        assert out.splitlines() == [
+            "INFEASIBLE",
+            "witness: ws fails in cell 0, m = 2: "
+            "X {a,c,d} {b,d,e}; Y {a,b,d} {c,d,e}"]
+        code, out, _ = run(capsys, "--json", "synthesize", "--model",
+                           str(path), "--threshold", "2/3")
+        assert code == 1
+        assert json.loads(out) == {
+            "feasible": False, "cell": 0,
+            "witness": {"condition": "ws", "cell": 0, "m": 2,
+                        "xs": [["a", "c", "d"], ["b", "d", "e"]],
+                        "ys": [["a", "b", "d"], ["c", "d", "e"]]}}
 
 
 class TestCheckModel:
@@ -334,3 +365,149 @@ class TestDemos:
         a = run(capsys, "demo", "kps", "--json")
         b = run(capsys, "demo", "kps", "--json")
         assert a == b
+
+
+# ---------------------------------------------------------------------------
+# Fuzzing the exit-code contract
+
+WORLDS = ("w1", "w2", "w3", "nope", "")
+DOC_KEYS = ("kind", "worlds", "partition", "valuation", "weights",
+            "generators")
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.floats(-1, 2)
+    | st.sampled_from(WORLDS + ("probability", "neighborhood", "1/2",
+                                "1/0", "x", "p")),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(WORLDS + DOC_KEYS), inner,
+                      max_size=3),
+    max_leaves=10)
+world_lists = st.lists(st.sampled_from(WORLDS), max_size=3)
+structured = {
+    "kind": st.sampled_from(("probability", "neighborhood")),
+    "worlds": world_lists,
+    "partition": st.lists(world_lists, max_size=3),
+    "valuation": st.dictionaries(st.sampled_from(WORLDS),
+                                 st.lists(st.sampled_from("pq"), max_size=2),
+                                 max_size=3),
+    "weights": st.dictionaries(
+        st.sampled_from(WORLDS),
+        st.sampled_from(("1/2", "1/3", "2/3", "0", "-1", "1/0", "x", 1, 0,
+                         0.5, True, None)), max_size=3),
+    "generators": st.lists(st.lists(world_lists, max_size=3), max_size=3),
+}
+
+
+@st.composite
+def model_docs(draw):
+    """A small valid model document with some keys dropped or replaced
+    by well-typed or arbitrary JSON, or arbitrary JSON altogether."""
+    if draw(st.integers(0, 9)) == 0:
+        return draw(json_values)
+    doc = dict(draw(st.sampled_from((PROB_DOC, NBHD_DOC))))
+    for key in draw(st.lists(st.sampled_from(DOC_KEYS), max_size=3)):
+        choice = draw(st.integers(0, 3))
+        if choice == 0:
+            doc.pop(key, None)
+        elif choice == 1:
+            doc[key] = draw(json_values)
+        else:
+            doc[key] = draw(structured[key])
+    return doc
+
+
+THRESHOLDS = ("1/2", "2/3", "3/5", "0", "1", "-1/2", "x", "1/0", "0.5", "")
+SMALL_INTS = ("-1", "0", "1", "2", "x")
+FORMULAS = ("p", "B p", "K p -> p", "~B ~p", "P(p) > 1/2", "B (p", "",
+            "p & q", "K")
+
+
+def command_argv(draw, model_path: str, text_path: str) -> list[str]:
+    """One subcommand with a random subset of its options, some values
+    broken; countermodel searches stay within two worlds."""
+    models = st.sampled_from((model_path, model_path, "horses1",
+                              "walley-fine", "no-such-model.json"))
+    formulas = st.sampled_from(FORMULAS) | st.text("pqKB~&|()<>-=P1/ ",
+                                                   max_size=10)
+    thresholds = st.sampled_from(THRESHOLDS)
+    options = {
+        "eval": [("--model", models), ("--world", st.sampled_from(WORLDS)),
+                 ("--formula", formulas), ("--threshold", thresholds)],
+        "check-model": [("--model", models), ("--mid-threshold", None),
+                        ("--conjectured", thresholds),
+                        ("--m-max", st.sampled_from(SMALL_INTS)),
+                        ("--cell-budget", st.sampled_from(SMALL_INTS))],
+        "derive": [("--model", models), ("--threshold", thresholds)],
+        "synthesize": [("--model", models), ("--threshold", thresholds)],
+        "agree": [("--nbhd", models), ("--prob", models),
+                  ("--threshold", thresholds)],
+        "countermodel": [("--formula", st.sampled_from(FORMULAS)),
+                         ("--max-worlds", st.sampled_from(SMALL_INTS)),
+                         ("--mid-threshold", None), ("--prob", None),
+                         ("--threshold", thresholds),
+                         ("--trials", st.sampled_from(SMALL_INTS)),
+                         ("--seed", st.sampled_from(SMALL_INTS))],
+        "prove": [("--theory", st.sampled_from(("kb", "kb-half", "x"))),
+                  ("--proof", st.sampled_from((text_path, "missing.txt")))],
+        "comparative": [("--universe", st.sampled_from(
+                            ("a b", "a a", "", "a b c"))),
+                        ("--statements", st.sampled_from(
+                            (text_path, "missing.txt"))),
+                        ("--definetti", None)],
+        "demo": [],
+    }
+    command = draw(st.sampled_from(sorted(options)))
+    argv = ["--json"] if draw(st.booleans()) else []
+    argv.append(command)
+    if command == "demo":
+        argv.append(draw(st.sampled_from(("horses", "nope"))))
+    for flag, values in options[command]:
+        if command == "countermodel" and flag == "--max-worlds":
+            argv += [flag, draw(st.sampled_from(("-1", "0", "1", "2")))]
+        elif draw(st.integers(0, 4)):
+            argv.append(flag)
+            if values is not None:
+                argv.append(draw(values))
+    return argv
+
+
+class TestFuzzContract:
+    """Any argv and any model document: exit 0, 1 or 2, never a
+    traceback, and an exit of 2 says why on exactly one error line."""
+
+    def check(self, capsys, argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects the command line
+            code = exc.code
+        out = capsys.readouterr()
+        assert code in (0, 1, 2), (argv, code)
+        assert "Traceback" not in out.err
+        if code == 2:
+            errors = [ln for ln in out.err.splitlines() if "error:" in ln]
+            assert len(errors) == 1, (argv, out.err)
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.data())
+    def test_argv(self, capsys, tmp_path, data):
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(data.draw(model_docs())))
+        text = tmp_path / "text.txt"
+        text.write_text(data.draw(st.sampled_from((
+            "1. p -> p ; taut\n", "c < a,b\n", "a <= \n", "garbage", ""))))
+        self.check(capsys, command_argv(data.draw, str(model), str(text)))
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(model_docs(), st.sampled_from(("synthesize", "derive", "eval",
+                                          "check-model")))
+    def test_model_documents(self, capsys, tmp_path, doc, command):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        argv = {"synthesize": ["synthesize", "--threshold", "1/2"],
+                "derive": ["derive", "--threshold", "1/2"],
+                "eval": ["eval", "--world", "w1", "--formula", "B p",
+                         "--threshold", "1/2"],
+                "check-model": ["check-model", "--mid-threshold",
+                                "--conjectured", "2/3"]}[command]
+        self.check(capsys, argv + ["--model", str(path)])

@@ -15,6 +15,7 @@ from highprob.corpus import (
 from highprob.errors import FrameMismatch
 from highprob.formula import Threshold
 from highprob.neighborhood import (
+    ScottWitness,
     check_agreement,
     check_base_properties,
     check_conjectured,
@@ -87,6 +88,29 @@ class TestMaximalNonneighborhoods:
                 == sorted(cell.difference(x).bits for x in got)
 
 
+def nested_first_witness(model, m_max, weak):
+    """The first counting witness of the plain nested search, in the
+    order the property checks promise: m, then the X-list, then the
+    Y-list.  X_1 is a generator, later X's are minimal dual-believed
+    sets (generators too when weak), the Y's maximal non-neighborhoods."""
+    for ci, cell in enumerate(model.frame.partition):
+        gens = model.cell_generators(ci)
+        max_non = maximal_nonneighborhoods(cell, gens)
+        later = gens if weak else minimal_dual_believed(cell, gens)
+        for m in range(1, m_max + 1 if max_non else 1):
+            xss = (itertools.combinations_with_replacement(gens, m) if weak
+                   else ((x1,) + rest for x1 in gens for rest in
+                         itertools.combinations_with_replacement(later,
+                                                                 m - 1)))
+            for xs in xss:
+                for ys in itertools.combinations_with_replacement(max_non,
+                                                                  m):
+                    if all(sum(v in y for y in ys) >= sum(v in x for x in xs)
+                           for v in cell.indices()):
+                        return ScottWitness(ci, xs, ys)
+    return None
+
+
 class TestMidThreshold:
     def test_d_fails_on_disjoint_generators(self):
         report = check_mid_threshold(one_cell(4, [[0, 1], [2, 3]]))
@@ -144,10 +168,31 @@ class TestMidThreshold:
 
         checked = 0
         for model in enumerate_neighborhood_models(3, ()):
-            got = check_mid_threshold(model, m_max=2)["scott"].holds
-            assert got == (not naive_scott_fails(model, 2))
+            report = check_mid_threshold(model, m_max=2)
+            assert report["scott"].holds == (not naive_scott_fails(model, 2))
+            assert report["scott"].witness == nested_first_witness(
+                model, 2, False)
             checked += 1
         assert checked > 10
+
+    def test_packed_search_finds_the_nested_searchs_first_witness(self):
+        models = list(enumerate_neighborhood_models(4, ()))
+        rng = random.Random(31)
+        for _ in range(30):
+            subs = range(1, 1 << 5)
+            models.append(one_cell(5, [EventSet(b, 5).indices() for b in
+                                       rng.sample(subs, rng.randint(2, 5))]))
+        two_thirds = Threshold(Fraction(2, 3))
+        for model in models:
+            assert check_mid_threshold(model)["scott"].witness \
+                == nested_first_witness(model, 3, False)
+            assert check_conjectured(model, two_thirds)["ws"].witness \
+                == nested_first_witness(model, 3, True)
+        wf = walley_fine_model()
+        got = check_mid_threshold(wf, m_max=7, cell_budget=7)["scott"]
+        assert got.witness == nested_first_witness(wf, 7, False)
+        got = check_conjectured(wf, two_thirds, m_max=7, cell_budget=7)
+        assert got["ws"].witness == nested_first_witness(wf, 7, True)
 
 
 class TestScottWitnessReplay:

@@ -16,8 +16,15 @@ from highprob.corpus import (
     walley_fine_model,
 )
 from highprob.formula import Threshold
-from highprob.neighborhood import check_agreement, derive_neighborhoods
-from highprob.semantics import sample_probability_model
+from highprob.neighborhood import (
+    check_agreement,
+    derive_neighborhoods,
+    replay_witness,
+)
+from highprob.semantics import (
+    enumerate_neighborhood_models,
+    sample_probability_model,
+)
 from highprob.synthesis import (
     ComparativeRelation,
     LinearConstraint,
@@ -263,6 +270,90 @@ class TestSynthesis:
         assert res.feasible
         assert derive_neighborhoods(res.model, HALF).generators \
             == m.generators
+
+
+def lp_only(model, c, solve=lp_feasible):
+    """The verdict of the per-cell LPs alone: (feasible, failed cell)."""
+    for ci in range(len(model.frame.partition)):
+        if not solve(*synthesis.agreement_constraints(model, ci, c)).feasible:
+            return False, ci
+    return True, None
+
+
+def census_systems():
+    """Every skeleton with at most 4 worlds, then seeded one-cell systems
+    on 5 and 6 worlds: derived from measures, and random antichains."""
+    yield from enumerate_neighborhood_models(4, ())
+    rng = random.Random(20261017)
+    for k, count in ((5, 24), (6, 8)):
+        worlds = tuple(f"w{i}" for i in range(k))
+        frame = Frame(worlds, (worlds,), {})
+        for _ in range(count):
+            c = Threshold(Fraction(rng.choice(("1/2", "3/5", "2/3"))))
+            yield derive_neighborhoods(cell_model(rng, k), c)
+            gens = [EventSet(rng.randrange(1, 1 << k), k)
+                    for _ in range(rng.randint(2, 6))]
+            yield make_neighborhood_model(frame, [gens])
+
+
+class TestWitnessFirst:
+    def test_same_verdicts_as_the_lp_alone(self, monkeypatch):
+        # the skeletons repeat cells, and a feasible cell's system is
+        # solved by both sides: solve each distinct system once
+        solved = {}
+
+        def solve(constraints, positivity=()):
+            key = (tuple(constraints), tuple(positivity))
+            if key not in solved:
+                solved[key] = lp_feasible(constraints, positivity)
+            return solved[key]
+
+        monkeypatch.setattr(synthesis, "lp_feasible", solve)
+        decided = {}
+        for model in census_systems():
+            for text in ("1/2", "3/5", "2/3", "3/4"):
+                c = Threshold(Fraction(text))
+                res = synthesize_measure(model, c)
+                assert (res.feasible, res.failed_cell) \
+                    == lp_only(model, c, solve)
+                if res.feasible:
+                    assert check_agreement(model, res.model, c).holds
+                elif res.witness is not None:
+                    assert res.witness.cell_index == res.failed_cell
+                    assert replay_witness(model, c, res.condition,
+                                          res.witness)
+                    decided[res.condition] = decided.get(res.condition,
+                                                         0) + 1
+        # every kind of witness the searches can give shows up
+        assert set(decided) >= {"d", "sc", "sc1^2", "sc0^2", "sc0^3", "ws"}
+
+    def test_tampered_witnesses_do_not_replay(self):
+        m = make_neighborhood_model(
+            Frame(("a", "b", "c"), (("a", "b", "c"),), {}),
+            [[EventSet.of([0], 3), EventSet.of([1, 2], 3)]])
+        res = synthesize_measure(m, HALF)
+        assert res.condition == "d" and res.witness.cell_index == 0
+        assert replay_witness(m, HALF, "d", res.witness)
+        # the wrong threshold, condition or sets
+        assert not replay_witness(m, Threshold(Fraction(1, 3)), "d",
+                                  res.witness)
+        assert not replay_witness(m, HALF, "sc", res.witness)
+        assert not replay_witness(m, HALF, "scott", res.witness)
+        g = res.witness.sets[0]
+        assert not replay_witness(
+            m, HALF, "d", type(res.witness)(0, (g, g)))
+
+    def test_large_cells_go_to_the_lp(self, monkeypatch):
+        solved = []
+
+        def recording(*args, **kwargs):
+            solved.append(lp_feasible(*args, **kwargs))
+            return solved[-1]
+
+        monkeypatch.setattr(synthesis, "lp_feasible", recording)
+        res = synthesize_measure(walley_fine_model(), HALF)
+        assert not res.feasible and res.witness is None
+        assert len(solved) == 1
 
 
 class TestComparative:
