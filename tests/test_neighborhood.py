@@ -1,10 +1,17 @@
+import hashlib
 import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
-from highprob.core import EventSet, Frame, make_neighborhood_model
+from highprob.core import (
+    EventSet,
+    Frame,
+    NeighborhoodModel,
+    make_neighborhood_model,
+    make_probability_model,
+)
 from highprob.corpus import (
     horses_common_prior,
     horses_cut,
@@ -12,7 +19,7 @@ from highprob.corpus import (
     walley_fine_model,
     walley_fine_witness,
 )
-from highprob.errors import FrameMismatch
+from highprob.errors import CellTooLargeForBruteForce, FrameMismatch
 from highprob.formula import Threshold
 from highprob.neighborhood import (
     ScottWitness,
@@ -21,6 +28,7 @@ from highprob.neighborhood import (
     check_conjectured,
     check_mid_threshold,
     derive_neighborhoods,
+    infeasibility_witness,
     maximal_nonneighborhoods,
     minimal_dual_believed,
     threshold_step,
@@ -236,6 +244,90 @@ class TestConjectured:
                 m = sample_probability_model(rng, 5, ())
                 derived = derive_neighborhoods(m, c)
                 assert check_conjectured(derived, c).all_hold
+
+
+def golden_models():
+    """Every skeleton with at most 4 worlds, seeded one-cell systems on 5
+    and 6 worlds (derived from measures, and random antichains), and
+    Walley-Fine, whose 7-world cell exceeds the default cell budget."""
+    yield from enumerate_neighborhood_models(4, ())
+    rng = random.Random(20261018)
+    for k, count in ((5, 24), (6, 8)):
+        worlds = tuple(f"w{i}" for i in range(k))
+        frame = Frame(worlds, (worlds,), {})
+        for _ in range(count):
+            c = Threshold(Fraction(rng.choice(("1/2", "3/5", "2/3"))))
+            d = rng.randint(2 * k, 64)
+            cuts = sorted(rng.sample(range(1, d), k - 1))
+            weights = {w: Fraction(b - a, d) for w, a, b
+                       in zip(worlds, (0, *cuts), (*cuts, d))}
+            yield derive_neighborhoods(
+                make_probability_model(frame, weights), c)
+            gens = [EventSet(rng.randrange(1, 1 << k), k)
+                    for _ in range(rng.randint(2, 6))]
+            yield make_neighborhood_model(frame, [gens])
+    yield walley_fine_model()
+
+
+def golden_reports():
+    """Section name -> the reprs of every report, witness or exception
+    the property checks give on golden_models()."""
+    def run(check, *args, **kwargs):
+        try:
+            return repr(check(*args, **kwargs))
+        except CellTooLargeForBruteForce as exc:
+            return repr(exc)
+
+    thresholds = {text: Threshold(Fraction(text))
+                  for text in ("1/3", "1/2", "3/5", "2/3", "3/4")}
+    out = {}
+    for model in golden_models():
+        rows = [("base", run(check_base_properties, model)),
+                ("mid", run(check_mid_threshold, model)),
+                ("mid m2 b5", run(check_mid_threshold, model, m_max=2,
+                                  cell_budget=5))]
+        for text, c in thresholds.items():
+            if c.value >= Fraction(1, 2):
+                rows.append((f"conj {text}", run(check_conjectured, model, c)))
+            rows.extend((f"witness {text}", run(infeasibility_witness,
+                                                model, ci, c))
+                        for ci in range(len(model.frame.partition)))
+        for section, text in rows:
+            out.setdefault(section, []).append(text)
+    # the raw model type does not validate: broken systems for the base
+    # checks, each one cell's generators outside it, empty, or missing
+    frame = Frame(("a", "b", "c"), (("a", "b"), ("c",)), {})
+    a, ab, c = (frame.event(ws) for ws in (["a"], ["a", "b"], ["c"]))
+    for gens in (((c,), (c,)), ((ab,), (EventSet.empty(3),)),
+                 ((a, ab), ()), ((ab,),)):
+        out["base"].append(run(check_base_properties,
+                               NeighborhoodModel(frame, gens)))
+    return out
+
+
+# sha256 prefixes of golden_reports(), one per section
+GOLDEN_REPORTS = {
+    "base": "54482040bf001c7b",
+    "mid": "5da109120addf39e",
+    "mid m2 b5": "6e441d46c125526d",
+    "witness 1/3": "6061208e6c736d38",
+    "conj 1/2": "c0e5376d42b99cc1",
+    "witness 1/2": "b72809969a9735c6",
+    "conj 3/5": "df163b5bd85f1511",
+    "witness 3/5": "910fa5d7d2e456d3",
+    "conj 2/3": "f4a7382aa574a687",
+    "witness 2/3": "c564cc3caebf30ea",
+    "conj 3/4": "d628944a4324e1e7",
+    "witness 3/4": "9adf427596a5d68b",
+}
+
+
+class TestGoldenReports:
+    def test_reports_and_witnesses_are_pinned(self):
+        got = {section: hashlib.sha256("\n".join(texts).encode())
+               .hexdigest()[:16]
+               for section, texts in golden_reports().items()}
+        assert got == GOLDEN_REPORTS
 
 
 class TestDerivationAndAgreement:
