@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -142,7 +143,24 @@ def _weight(value, world: str) -> Fraction:
     if isinstance(value, bool) or not isinstance(value, (int, str)):
         raise HighProbError(f"weight of {world!r} must be an integer or a "
                             f"\"p/q\" string, not {json.dumps(value)}")
-    return Fraction(value)
+    return _rational(value, f"weight of {world!r}") \
+        if isinstance(value, str) else Fraction(value)
+
+
+_RATIONAL = re.compile(r"\s*[+-]?(?:\d+/\d+|\d+\.?\d*|\.\d+)\s*")
+
+
+def _rational(text: str, what: str) -> Fraction:
+    """The exact rational written p/q or as a plain decimal.
+
+    Anything else is refused before Fraction reads it: Fraction would
+    expand exponent notation such as 1e999999999 into an integer with
+    that many digits.
+    """
+    if not _RATIONAL.fullmatch(text):
+        raise HighProbError(f"{what} must be p/q or a plain decimal, "
+                            f"not {text!r}")
+    return Fraction(text)
 
 
 _BUILTINS = {
@@ -227,7 +245,7 @@ def _parse_formula(text: str):
 
 
 def _threshold(text: str) -> Threshold:
-    return Threshold(Fraction(text))
+    return Threshold(_rational(text, "threshold"))
 
 
 # ---------------------------------------------------------------------------

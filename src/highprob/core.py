@@ -82,10 +82,6 @@ class EventSet:
     def ispropersubset(self, other: "EventSet") -> bool:
         return self.issubset(other) and self.bits != other.bits
 
-    def isdisjoint(self, other: "EventSet") -> bool:
-        self._check(other)
-        return self.bits & other.bits == 0
-
     def is_empty(self) -> bool:
         return self.bits == 0
 
@@ -292,11 +288,6 @@ class NeighborhoodModel:
 
     def cell_generators(self, cell_index: int) -> tuple[EventSet, ...]:
         return self.generators[cell_index]
-
-    def is_neighborhood(self, world: str, event: EventSet) -> bool:
-        """Upward-closure membership test: X ∈ N(w)."""
-        ci = self.frame.cell_index(world)
-        return self.cell_is_neighborhood(ci, event)
 
     def cell_is_neighborhood(self, cell_index: int, event: EventSet) -> bool:
         if not event.issubset(self.frame.partition[cell_index]):

@@ -21,7 +21,6 @@ from math import ceil
 
 from .core import (
     EventSet,
-    Frame,
     NeighborhoodModel,
     ProbabilityModel,
     conditional_mass,
@@ -100,12 +99,13 @@ def check_base_properties(model: NeighborhoodModel) -> PropertyReport:
     cell-invariance, and monotonicity.
 
     The generator representation makes cell-invariance and monotonicity
-    hold by construction; they are re-verified on the closed system for
-    small cells as defense in depth.  The raw model type does not validate,
-    so the first three can genuinely fail here.
+    hold by construction: the system of a cell is shared by its worlds,
+    and every superset of a set containing a generator contains that
+    generator too.  The raw model type does not validate, so the first
+    three can genuinely fail here.
     """
     frame = model.frame
-    kbc = kbf = n = a = kbm = Verdict.ok()
+    kbc = kbf = n = Verdict.ok()
     for ci, cell in enumerate(frame.partition):
         gens = model.generators[ci] if ci < len(model.generators) else ()
         for g in gens:
@@ -115,26 +115,21 @@ def check_base_properties(model: NeighborhoodModel) -> PropertyReport:
                 kbf = Verdict.fail(CellSetWitness(ci, (g,)))
         if n.holds and not any(g.issubset(cell) for g in gens):
             n = Verdict.fail(CellSetWitness(ci, (cell,)))
-        # monotonicity re-verified on the explicit closure of small cells
-        if kbm.holds and gens and len(cell) <= DEFAULT_CELL_BUDGET:
-            closed = set(_closure_members(cell, gens))
-            for x in closed:
-                bad = next((y for y in cell.subsets()
-                            if x.issubset(y) and y not in closed), None)
-                if bad is not None:
-                    kbm = Verdict.fail(CellSetWitness(ci, (x, bad)))
-                    break
     return PropertyReport((
-        ("kbc", kbc), ("kbf", kbf), ("n", n), ("a", a), ("kbm", kbm),
+        ("kbc", kbc), ("kbf", kbf), ("n", n), ("a", Verdict.ok()),
+        ("kbm", Verdict.ok()),
     ))
 
 
 # ---------------------------------------------------------------------------
 # Helpers over a single cell's system
 
-def _closure_members(cell: EventSet, gens) -> list[EventSet]:
-    return [x for x in cell.subsets()
-            if any(g.issubset(x) for g in gens)]
+
+def _masks(model: NeighborhoodModel, cell_index: int
+           ) -> tuple[int, tuple[int, ...]]:
+    """The cell's bitmask and its generators' bitmasks."""
+    return (model.frame.partition[cell_index].bits,
+            tuple(g.bits for g in model.generators[cell_index]))
 
 
 def _believed(gens: tuple[int, ...], x: int) -> bool:
@@ -163,6 +158,16 @@ def _submasks(bits: int) -> list[int]:
 
 def _by_size(masks) -> tuple[int, ...]:
     return tuple(sorted(masks, key=lambda x: (x.bit_count(), x)))
+
+
+def _disjoint_union(masks) -> int | None:
+    """The union of pairwise disjoint masks; None if two of them meet."""
+    union = 0
+    for x in masks:
+        if union & x:
+            return None
+        union |= x
+    return union
 
 
 def maximal_nonneighborhoods(cell: EventSet, gens) -> tuple[EventSet, ...]:
@@ -217,14 +222,6 @@ def cell_families(model: NeighborhoodModel, cell_index: int
     return families
 
 
-def _count_vectors_ok(cell: EventSet, xs, ys) -> bool:
-    """Every world of the cell lies in at least as many Y's as X's."""
-    for v in cell.indices():
-        if sum(1 for x in xs if v in x) > sum(1 for y in ys if v in y):
-            return False
-    return True
-
-
 def _first_dominated(cell: int, xs_of, max_non: tuple[int, ...],
                      m_max: int):
     """The first (xs, ys), for m = 1 .. m_max, with xs running through
@@ -241,6 +238,8 @@ def _first_dominated(cell: int, xs_of, max_non: tuple[int, ...],
     kept once, at its first list, and each X-sum is tested once; the
     first hit is therefore the first in the nested order.
     """
+    if not max_non:
+        return None  # every subset believed; the conclusion always holds
     width = m_max.bit_length() + 1
     shift = {v: j * width for j, v in enumerate(_members(cell))}
     guard = sum(1 << (s + width - 1) for s in shift.values())
@@ -274,65 +273,167 @@ def _event_sets(masks, universe_size: int) -> tuple[EventSet, ...]:
 
 
 # ---------------------------------------------------------------------------
-# Mid-threshold properties
+# The cell conditions, each searched and replayed in one place
+#
+#   d       consistency: no X with X and cell - X both believed
+#   sc      strong commitment: X < Y with cell - X and Y both unbelieved
+#   scott   counting transfer: X's with X_1 believed and every later
+#           cell - X unbelieved, Y's unbelieved, and every world in at
+#           least as many Y's as X's
+#   ws      the weak counting condition: as scott with every X believed
+#   sc0^s   s pairwise disjoint X's with cell - X unbelieved, and an
+#           unbelieved proper superset Y of their union
+#   sc1^s   as sc0^s with their union itself the unbelieved Y
+#
+# A violation of d or sc is a CellSetWitness listing X and Y, of sc0^s
+# the X's then Y, and of sc1^s the X's; of scott or ws a ScottWitness.
+
+_COUNTING = ("scott", "ws")
 
 
-def _check_d(cell_index: int, gens) -> Verdict:
-    # X and cell-X both believed iff two generators are disjoint
-    for g1, g2 in itertools.combinations_with_replacement(gens, 2):
-        if g1.bits & g2.bits == 0:
-            return Verdict.fail(CellSetWitness(cell_index, (g1, g2)))
-    return Verdict.ok()
+def _necessary(c: Threshold) -> tuple[str, ...]:
+    """The cell conditions the searches check at threshold c: each one
+    an agreeing measure at c must satisfy.
 
-
-def _check_sc(cell_index: int, cell: EventSet, gens) -> Verdict:
-    # a violation with X < Y shrinks to X = Y minus one point, because
-    # non-neighborhoods are downward closed
-    if len(cell) > 12:
-        raise CellTooLargeForBruteForce(
-            f"cell of size {len(cell)} exceeds the subset budget")
-    gens = tuple(g.bits for g in gens)
-    for y in _submasks(cell.bits):
-        if _believed(gens, y):
-            continue
-        for v in _members(y):
-            x = y & ~(1 << v)
-            if not _believed(gens, cell.bits & ~x):
-                return Verdict.fail(CellSetWitness(
-                    cell_index, _event_sets((x, y), cell.universe_size)))
-    return Verdict.ok()
-
-
-def _check_scott_cell(model: NeighborhoodModel, cell_index: int, m_max: int,
-                      cell_budget: int) -> Verdict:
-    """Bounded search for a counting-transfer violation in one cell.
-
-    The search space is reduced without loss of generality: shrinking any
-    X preserves the counting condition and enlarging any Y preserves it,
-    so X_1 ranges over the minimal neighborhoods, the later X's over the
-    minimal sets whose cell-complement is not a neighborhood, and the Y's
-    over the maximal non-neighborhoods.
+    At 1/2, consistency, strong commitment and bounded counting transfer
+    (Scott's theorem makes each necessary).  Above 1/2, consistency, the
+    active disjoint-union scheme and the weak counting condition (their
+    proofs only add and compare the measure's bounds; two disjoint sets
+    above c > 1/2 would weigh more than the cell).  Nothing below 1/2.
     """
-    cell = model.frame.partition[cell_index]
-    if len(cell) > cell_budget:
-        raise CellTooLargeForBruteForce(
-            f"cell of size {len(cell)} exceeds budget {cell_budget}")
-    max_non, min_dual = cell_families(model, cell_index)
-    if not max_non:
-        return Verdict.ok()  # every subset believed; conclusion always holds
-    gens = tuple(g.bits for g in model.generators[cell_index])
-    found = _first_dominated(
-        cell.bits,
-        lambda m: ((x1,) + rest for x1 in gens
-                   for rest in itertools.combinations_with_replacement(
-                       min_dual, m - 1)),
-        max_non, m_max)
-    if found is None:
-        return Verdict.ok()
-    xs, ys = found
-    n = cell.universe_size
-    return Verdict.fail(ScottWitness(cell_index, _event_sets(xs, n),
-                                     _event_sets(ys, n)))
+    if c.value == HALF:
+        return ("d", "sc", "scott")
+    if c.value > HALF:
+        return ("d", _active_scheme(c), "ws")
+    return ()
+
+
+def _search(name: str, model: NeighborhoodModel, cell_index: int,
+            cell: int, gens: tuple[int, ...], m_max: int, cell_budget: int):
+    """The first witness that the cell fails condition name, or None.
+
+    The counting searches lose nothing by their reduced spaces:
+    shrinking any X preserves the counting condition and enlarging any Y
+    preserves it, so X_1 ranges over the generators, the later X's over
+    the minimal sets whose cell-complement is unbelieved (generators
+    again for ws), and the Y's over the maximal non-neighborhoods.
+    """
+    n = model.frame.size
+    if name in _COUNTING:
+        if cell.bit_count() > cell_budget:
+            raise CellTooLargeForBruteForce(
+                f"cell of size {cell.bit_count()} exceeds budget "
+                f"{cell_budget}")
+        max_non, min_dual = cell_families(model, cell_index)
+        lists = itertools.combinations_with_replacement
+        found = _first_dominated(
+            cell,
+            (lambda m: lists(gens, m)) if name == "ws" else
+            (lambda m: ((x1,) + rest for x1 in gens
+                        for rest in lists(min_dual, m - 1))),
+            max_non, m_max)
+        return None if found is None else ScottWitness(
+            cell_index, _event_sets(found[0], n), _event_sets(found[1], n))
+    found = None
+    if name == "d":
+        # X and cell-X both believed iff two generators are disjoint
+        found = next(((g1, g2) for g1, g2
+                      in itertools.combinations_with_replacement(gens, 2)
+                      if g1 & g2 == 0), None)
+    elif name == "sc":
+        # a violation with X < Y shrinks to X = Y minus one point, because
+        # non-neighborhoods are downward closed
+        if cell.bit_count() > 12:
+            raise CellTooLargeForBruteForce(
+                f"cell of size {cell.bit_count()} exceeds the subset budget")
+        found = next(((x, y) for y in _submasks(cell)
+                      if not _believed(gens, y)
+                      for x in (y ^ 1 << v for v in _members(y))
+                      if not _believed(gens, cell & ~x)), None)
+    else:
+        # X's among the minimal dual-believed sets; for sc0^s, one-point
+        # extensions of their union suffice for Y
+        s, exact = int(name[4:]), name.startswith("sc0")
+        for xs in itertools.combinations(cell_families(model, cell_index)[1],
+                                         s):
+            union = _disjoint_union(xs)
+            if union is None:
+                continue
+            ys = ([union | 1 << v for v in _members(cell & ~union)]
+                  if exact else [union])
+            y = next((y for y in ys if not _believed(gens, y)), None)
+            if y is not None:
+                found = xs + (y,) if exact else xs
+                break
+    return None if found is None else CellSetWitness(
+        cell_index, _event_sets(found, n))
+
+
+def _replays(name: str, cell: int, gens: tuple[int, ...], witness) -> bool:
+    """The witness's sets fail condition name inside the cell."""
+    if name in _COUNTING:
+        xs = tuple(x.bits for x in witness.xs)
+        ys = tuple(y.bits for y in witness.ys)
+        return (len(xs) == len(ys) > 0
+                and not any(x & ~cell for x in xs + ys)
+                and all(sum(x >> v & 1 for x in xs)
+                        <= sum(y >> v & 1 for y in ys)
+                        for v in _members(cell))
+                and _believed(gens, xs[0])
+                and all(_believed(gens, x) if name == "ws"
+                        else not _believed(gens, cell & ~x) for x in xs[1:])
+                and not any(_believed(gens, y) for y in ys))
+    sets = tuple(x.bits for x in witness.sets)
+    if any(x & ~cell for x in sets):
+        return False
+    if name == "d":
+        return (len(sets) == 2 and sets[0] & sets[1] == 0
+                and all(_believed(gens, x) for x in sets))
+    if name == "sc":
+        if len(sets) != 2:
+            return False
+        x, y = sets
+        return (x & ~y == 0 and x != y and not _believed(gens, y)
+                and not _believed(gens, cell & ~x))
+    s, exact = int(name[4:]), name.startswith("sc0")
+    xs = sets[:s]
+    union = _disjoint_union(xs)
+    if len(sets) != s + exact or union is None \
+            or any(_believed(gens, cell & ~x) for x in xs):
+        return False
+    # sc0^s names a proper superset Y of the union; for sc1^s, Y is it
+    y = sets[s] if exact else union
+    return union & ~y == 0 and (union != y) == exact \
+        and not _believed(gens, y)
+
+
+def _failures(model: NeighborhoodModel, cell_index: int, names,
+              m_max: int, cell_budget: int):
+    """(name, witness) for each of the named conditions the cell fails,
+    searched lazily in order."""
+    cell, gens = _masks(model, cell_index)
+    for name in names:
+        witness = _search(name, model, cell_index, cell, gens, m_max,
+                          cell_budget)
+        if witness is not None:
+            yield name, witness
+
+
+def _report(model: NeighborhoodModel, names, m_max: int,
+            cell_budget: int) -> PropertyReport:
+    """Each named condition with the first cell's witness that fails it;
+    a condition already failed is not searched in later cells."""
+    verdicts = dict.fromkeys(names, Verdict.ok())
+    for ci in range(len(model.frame.partition)):
+        open_names = [name for name in names if verdicts[name].holds]
+        for name, witness in _failures(model, ci, open_names, m_max,
+                                       cell_budget):
+            verdicts[name] = Verdict.fail(witness)
+    return PropertyReport(tuple(verdicts.items()))
+
+
+# ---------------------------------------------------------------------------
+# Mid-threshold and conjectured high-threshold properties
 
 
 def check_mid_threshold(model: NeighborhoodModel,
@@ -340,17 +441,7 @@ def check_mid_threshold(model: NeighborhoodModel,
                         cell_budget: int = DEFAULT_CELL_BUDGET
                         ) -> PropertyReport:
     """Check consistency, strong commitment, and bounded counting transfer."""
-    frame = model.frame
-    d = sc = scott = Verdict.ok()
-    for ci, cell in enumerate(frame.partition):
-        gens = model.generators[ci]
-        if d.holds:
-            d = _check_d(ci, gens)
-        if sc.holds:
-            sc = _check_sc(ci, cell, gens)
-        if scott.holds:
-            scott = _check_scott_cell(model, ci, m_max, cell_budget)
-    return PropertyReport((("d", d), ("sc", sc), ("scott", scott)))
+    return _report(model, _necessary(Threshold(HALF)), m_max, cell_budget)
 
 
 def verify_scott_witness(model: NeighborhoodModel, cell_index: int,
@@ -361,24 +452,8 @@ def verify_scott_witness(model: NeighborhoodModel, cell_index: int,
     condition holds, X_1 is a neighborhood, every later X has a
     non-neighborhood cell-complement, and no Y is a neighborhood.
     """
-    cell = model.frame.partition[cell_index]
-    xs, ys = tuple(xs), tuple(ys)
-    if len(xs) != len(ys) or not xs:
-        return False
-    gens = tuple(g.bits for g in model.generators[cell_index])
-    if not all(x.issubset(cell) for x in xs + ys):
-        return False
-    if not _count_vectors_ok(cell, xs, ys):
-        return False
-    if not _believed(gens, xs[0].bits):
-        return False
-    if any(_believed(gens, cell.bits & ~x.bits) for x in xs[1:]):
-        return False
-    return not any(_believed(gens, y.bits) for y in ys)
-
-
-# ---------------------------------------------------------------------------
-# Conjectured high-threshold properties
+    return _replays("scott", *_masks(model, cell_index),
+                    ScottWitness(cell_index, tuple(xs), tuple(ys)))
 
 
 def threshold_step(c: Threshold) -> tuple[Fraction, int]:
@@ -387,73 +462,11 @@ def threshold_step(c: Threshold) -> tuple[Fraction, int]:
     return s_prime, ceil(s_prime)
 
 
-def _active_scheme(c: Threshold) -> tuple[str, int, bool]:
-    """The disjoint-union scheme in force at c: its name, s, and whether
-    it is the 0-indexed one (s = s')."""
+def _active_scheme(c: Threshold) -> str:
+    """The disjoint-union scheme in force at c: sc0^s when s = s', the
+    1-indexed sc1^s otherwise."""
     s_prime, s = threshold_step(c)
-    exact = s_prime == s
-    return (f"sc0^{s}" if exact else f"sc1^{s}"), s, exact
-
-
-def _disjoint_duals(model: NeighborhoodModel, cell_index: int, s: int):
-    """Each s pairwise disjoint minimal dual-believed sets, with their
-    union, in combination order."""
-    for xs in itertools.combinations(cell_families(model, cell_index)[1], s):
-        union = 0
-        for x in xs:
-            if union & x:
-                break
-            union |= x
-        else:
-            yield xs, union
-
-
-def _check_sc0(model: NeighborhoodModel, cell_index: int, s: int) -> Verdict:
-    # pairwise disjoint X's whose cell-complements are unbelieved, plus a
-    # proper superset Y of their union that is unbelieved; one-point
-    # extensions of the union suffice for Y
-    cell = model.frame.partition[cell_index]
-    gens = tuple(g.bits for g in model.generators[cell_index])
-    for xs, union in _disjoint_duals(model, cell_index, s):
-        for v in _members(cell.bits & ~union):
-            y = union | 1 << v
-            if not _believed(gens, y):
-                return Verdict.fail(CellSetWitness(
-                    cell_index, _event_sets(xs + (y,), cell.universe_size)))
-    return Verdict.ok()
-
-
-def _check_sc1(model: NeighborhoodModel, cell_index: int, s: int) -> Verdict:
-    cell = model.frame.partition[cell_index]
-    gens = tuple(g.bits for g in model.generators[cell_index])
-    for xs, union in _disjoint_duals(model, cell_index, s):
-        if not _believed(gens, union):
-            return Verdict.fail(CellSetWitness(
-                cell_index, _event_sets(xs, cell.universe_size)))
-    return Verdict.ok()
-
-
-def _check_ws_cell(model: NeighborhoodModel, cell_index: int, m_max: int,
-                   cell_budget: int) -> Verdict:
-    # like the counting-transfer check but with every X a neighborhood
-    cell = model.frame.partition[cell_index]
-    if len(cell) > cell_budget:
-        raise CellTooLargeForBruteForce(
-            f"cell of size {len(cell)} exceeds budget {cell_budget}")
-    max_non = cell_families(model, cell_index)[0]
-    if not max_non:
-        return Verdict.ok()
-    gens = tuple(g.bits for g in model.generators[cell_index])
-    found = _first_dominated(
-        cell.bits,
-        lambda m: itertools.combinations_with_replacement(gens, m),
-        max_non, m_max)
-    if found is None:
-        return Verdict.ok()
-    xs, ys = found
-    n = cell.universe_size
-    return Verdict.fail(ScottWitness(cell_index, _event_sets(xs, n),
-                                     _event_sets(ys, n)))
+    return f"sc0^{s}" if s_prime == s else f"sc1^{s}"
 
 
 def check_conjectured(model: NeighborhoodModel, c: Threshold,
@@ -469,47 +482,12 @@ def check_conjectured(model: NeighborhoodModel, c: Threshold,
     """
     if c.value < HALF:
         raise ValueError("conjectured properties apply only for c >= 1/2")
-    name, s, exact = _active_scheme(c)
-    frame = model.frame
-    active = ws = Verdict.ok()
-    for ci in range(len(frame.partition)):
-        if active.holds:
-            active = (_check_sc0(model, ci, s) if exact
-                      else _check_sc1(model, ci, s))
-        if ws.holds:
-            ws = _check_ws_cell(model, ci, m_max, cell_budget)
-    return PropertyReport(((name, active), ("ws", ws)))
+    return _report(model, (_active_scheme(c), "ws"), m_max,
+                   cell_budget)
 
 
 # ---------------------------------------------------------------------------
 # Witnesses of infeasibility
-
-
-def _necessary_conditions(model: NeighborhoodModel, cell_index: int,
-                          c: Threshold):
-    """(name, verdict) of each cell condition that an agreeing measure at
-    c must satisfy, computed lazily.
-
-    At 1/2: consistency, strong commitment and bounded counting transfer
-    (Scott's theorem makes each necessary).  Above 1/2: consistency, the
-    active disjoint-union scheme and the weak counting condition (their
-    proofs only add and compare the measure's bounds; two disjoint sets
-    above c > 1/2 would weigh more than the cell).  Nothing below 1/2.
-    """
-    cell = model.frame.partition[cell_index]
-    gens = model.generators[cell_index]
-    if c.value >= HALF:
-        yield "d", _check_d(cell_index, gens)
-    if c.value == HALF:
-        yield "sc", _check_sc(cell_index, cell, gens)
-        yield "scott", _check_scott_cell(model, cell_index, DEFAULT_M_MAX,
-                                         DEFAULT_CELL_BUDGET)
-    elif c.value > HALF:
-        name, s, exact = _active_scheme(c)
-        yield name, (_check_sc0(model, cell_index, s) if exact
-                     else _check_sc1(model, cell_index, s))
-        yield "ws", _check_ws_cell(model, cell_index, DEFAULT_M_MAX,
-                                   DEFAULT_CELL_BUDGET)
 
 
 def infeasibility_witness(model: NeighborhoodModel, cell_index: int,
@@ -522,9 +500,8 @@ def infeasibility_witness(model: NeighborhoodModel, cell_index: int,
     """
     if len(model.frame.partition[cell_index]) > DEFAULT_CELL_BUDGET:
         return None
-    return next(((name, verdict.witness) for name, verdict
-                 in _necessary_conditions(model, cell_index, c)
-                 if not verdict.holds), None)
+    return next(_failures(model, cell_index, _necessary(c),
+                          DEFAULT_M_MAX, DEFAULT_CELL_BUDGET), None)
 
 
 def replay_witness(model: NeighborhoodModel, c: Threshold, condition: str,
@@ -534,59 +511,11 @@ def replay_witness(model: NeighborhoodModel, c: Threshold, condition: str,
     True when the condition is one the searches run at c and the sets
     fail it inside the witness's cell.
     """
-    ci = witness.cell_index
-    if not 0 <= ci < len(model.frame.partition):
-        return False
-    cell = model.frame.partition[ci]
-    gens = tuple(g.bits for g in model.generators[ci])
-    if c.value == HALF:
-        names = ("d", "sc", "scott")
-    elif c.value > HALF:
-        names = ("d", _active_scheme(c)[0], "ws")
-    else:
-        names = ()
-    counting = condition in ("scott", "ws")
-    if condition not in names or not isinstance(
-            witness, ScottWitness if counting else CellSetWitness):
-        return False
-    if counting:
-        xs, ys = tuple(witness.xs), tuple(witness.ys)
-        if condition == "scott":
-            return verify_scott_witness(model, ci, xs, ys)
-        return (len(xs) == len(ys) > 0
-                and all(x.issubset(cell) for x in xs + ys)
-                and _count_vectors_ok(cell, xs, ys)
-                and all(_believed(gens, x.bits) for x in xs)
-                and not any(_believed(gens, y.bits) for y in ys))
-    sets = tuple(x.bits for x in witness.sets)
-    if any(x & ~cell.bits for x in sets):
-        return False
-    if condition == "d":
-        return (len(sets) == 2 and sets[0] & sets[1] == 0
-                and all(_believed(gens, x) for x in sets))
-    if condition == "sc":
-        if len(sets) != 2:
-            return False
-        x, y = sets
-        return (x & ~y == 0 and x != y and not _believed(gens, y)
-                and not _believed(gens, cell.bits & ~x))
-    # the disjoint-union schemes: s disjoint X's with unbelieved
-    # cell-complements, then an unbelieved proper superset of their
-    # union (sc0) or their unbelieved union itself (sc1)
-    _, s, exact = _active_scheme(c)
-    xs = sets[:s]
-    if len(sets) != (s + 1 if exact else s) \
-            or any(_believed(gens, cell.bits & ~x) for x in xs):
-        return False
-    union = 0
-    for x in xs:
-        if union & x:
-            return False
-        union |= x
-    if not exact:
-        return not _believed(gens, union)
-    y = sets[s]
-    return union & ~y == 0 and union != y and not _believed(gens, y)
+    kind = ScottWitness if condition in _COUNTING else CellSetWitness
+    return (condition in _necessary(c) and isinstance(witness, kind)
+            and 0 <= witness.cell_index < len(model.frame.partition)
+            and _replays(condition, *_masks(model, witness.cell_index),
+                         witness))
 
 
 # ---------------------------------------------------------------------------

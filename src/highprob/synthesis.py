@@ -11,14 +11,12 @@ models and realizability checking for comparative-probability relations.
 
 Synthesis is certificate-first.  Before a cell's LP is built, the
 bounded property searches of ``neighborhood`` look for a failed
-condition that every agreeing measure at c must satisfy: consistency,
-strong commitment and counting transfer (m <= 3) at c = 1/2;
-consistency, the active disjoint-union scheme and the weak counting
-condition above 1/2; nothing below 1/2 or on cells larger than
-``DEFAULT_CELL_BUDGET``.  A witness is replayed without search and
-returned on the result in place of a bare infeasible verdict, with the
-failed cell the LP would report; the CLI prints it as one ``witness:``
-line.  Only cells without a witness reach the simplex.
+condition that every agreeing measure at c must satisfy; that module
+says which conditions these are at each c.  A witness is replayed
+without search and returned on the result in place of a bare
+infeasible verdict, with the failed cell the LP would report; the CLI
+prints it as one ``witness:`` line.  Only cells without a witness reach
+the simplex.
 """
 
 from __future__ import annotations

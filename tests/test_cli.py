@@ -337,6 +337,20 @@ class TestErrorContract:
             PROB_DOC, partition=[["w1", "w9"]]))
         assert "'w9'" in err
 
+    def test_threshold_in_exponent_notation(self, capsys):
+        # read as p/q or a plain decimal, never expanded by Fraction
+        for flags in (["eval", "--model", "horses3", "--world", "w1",
+                       "--formula", "h1", "--threshold"],
+                      ["check-model", "--model", "walley-fine",
+                       "--conjectured"]):
+            err = self.assert_error(capsys, *flags, "1e1000000")
+            assert "'1e1000000'" in err
+
+    def test_weight_in_exponent_notation(self, capsys, tmp_path):
+        err = self.assert_bad_model(capsys, tmp_path, dict(
+            PROB_DOC, weights={"w1": "1e2000000", "w2": "1"}))
+        assert "'w1'" in err and "'1e2000000'" in err
+
     def test_formula_nested_too_deep(self, capsys):
         err = self.assert_error(capsys, "eval", "--model", "horses3",
                                 "--world", "w1",

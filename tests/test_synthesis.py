@@ -14,9 +14,12 @@ from highprob.corpus import (
     kps_definetti_extension,
     kps_relation,
     walley_fine_model,
+    walley_fine_witness,
 )
 from highprob.formula import Threshold
 from highprob.neighborhood import (
+    CellSetWitness,
+    ScottWitness,
     check_agreement,
     derive_neighborhoods,
     replay_witness,
@@ -342,6 +345,48 @@ class TestWitnessFirst:
         g = res.witness.sets[0]
         assert not replay_witness(
             m, HALF, "d", type(res.witness)(0, (g, g)))
+        # every other kind: a real witness replays, but not with a set
+        # dropped, with a Y swapped for the believed whole cell, or under
+        # a disjoint-union scheme name with the wrong s
+        cases = [(walley_fine_model(), "1/2", "scott",
+                  ScottWitness(0, *walley_fine_witness()))]
+        for n, gens, text, condition in (
+                (3, [[0, 1]], "1/2", "sc"),
+                (4, [[0, 1, 2]], "3/5", "sc1^2"),
+                (4, [[0, 1, 2]], "2/3", "sc0^2"),
+                (4, [[0, 1, 2, 3]], "5/7", "sc1^3"),
+                (5, [[0, 1, 2, 3]], "3/4", "sc0^3"),
+                (5, [[0, 2, 3], [1, 2, 3], [1, 3, 4], [0, 1, 2, 4]], "2/3",
+                 "ws")):
+            worlds = tuple("abcde"[:n])
+            model = make_neighborhood_model(
+                Frame(worlds, (worlds,), {}),
+                [[EventSet.of(g, n) for g in gens]])
+            res = synthesize_measure(model, Threshold(Fraction(text)))
+            assert res.condition == condition
+            cases.append((model, text, condition, res.witness))
+        schemes = {"3/5": "sc1^2", "2/3": "sc0^2", "5/7": "sc1^3",
+                   "3/4": "sc0^3"}
+        for model, text, condition, w in cases:
+            c = Threshold(Fraction(text))
+            assert replay_witness(model, c, condition, w)
+            cell = model.frame.partition[0]
+            if isinstance(w, ScottWitness):
+                tampered = [ScottWitness(0, w.xs[1:], w.ys),
+                            ScottWitness(0, w.xs, w.ys[1:]),
+                            ScottWitness(0, w.xs, (cell,) + w.ys[1:])]
+            else:
+                tampered = [CellSetWitness(0, w.sets[:k] + w.sets[k + 1:])
+                            for k in range(len(w.sets))]
+                if not condition.startswith("sc1"):
+                    tampered.append(CellSetWitness(0, w.sets[:-1] + (cell,)))
+            for bad in tampered:
+                assert not replay_witness(model, c, condition, bad)
+            for other_text, other in schemes.items():
+                if other != condition:
+                    assert not replay_witness(model, c, other, w)
+                    assert not replay_witness(
+                        model, Threshold(Fraction(other_text)), other, w)
 
     def test_large_cells_go_to_the_lp(self, monkeypatch):
         solved = []
