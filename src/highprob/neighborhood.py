@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil
+from math import ceil, floor
 
 from .core import (
     EventSet,
@@ -222,12 +222,10 @@ def cell_families(model: NeighborhoodModel, cell_index: int
     return families
 
 
-def _first_dominated(cell: int, xs_of, max_non: tuple[int, ...],
-                     m_max: int):
+def _first_dominated(cell: int, xs_of, ys_of, m_max: int):
     """The first (xs, ys), for m = 1 .. m_max, with xs running through
-    xs_of(m) and ys through the multisets of m maximal non-neighborhoods,
-    in which every world of the cell lies in at least as many Y's as X's;
-    None if there is none.
+    xs_of(m) and ys through ys_of(m), in which every world of the cell
+    lies in at least as many Y's as X's; None if there is none.
 
     Each set is packed into one int with a field of m_max.bit_length() + 1
     bits per world of the cell, so a list's sum holds its count vector.
@@ -238,8 +236,6 @@ def _first_dominated(cell: int, xs_of, max_non: tuple[int, ...],
     kept once, at its first list, and each X-sum is tested once; the
     first hit is therefore the first in the nested order.
     """
-    if not max_non:
-        return None  # every subset believed; the conclusion always holds
     width = m_max.bit_length() + 1
     shift = {v: j * width for j, v in enumerate(_members(cell))}
     guard = sum(1 << (s + width - 1) for s in shift.values())
@@ -253,7 +249,7 @@ def _first_dominated(cell: int, xs_of, max_non: tuple[int, ...],
 
     for m in range(1, m_max + 1):
         ysums: dict[int, tuple[int, ...]] = {}
-        for ys in itertools.combinations_with_replacement(max_non, m):
+        for ys in ys_of(m):
             ysums.setdefault(sum(map(pack, ys)), ys)
         tried = set()
         for xs in xs_of(m):
@@ -284,9 +280,12 @@ def _event_sets(masks, universe_size: int) -> tuple[EventSet, ...]:
 #   sc0^s   s pairwise disjoint X's with cell - X unbelieved, and an
 #           unbelieved proper superset Y of their union
 #   sc1^s   as sc0^s with their union itself the unbelieved Y
+#   load    k believed sets, repeats allowed, with no world of the cell
+#           in more than floor(k*c) of them; k = 2 above 1/2 is d
 #
 # A violation of d or sc is a CellSetWitness listing X and Y, of sc0^s
-# the X's then Y, and of sc1^s the X's; of scott or ws a ScottWitness.
+# the X's then Y, of sc1^s the X's, and of load the k sets; of scott or
+# ws a ScottWitness.
 
 _COUNTING = ("scott", "ws")
 
@@ -297,48 +296,63 @@ def _necessary(c: Threshold) -> tuple[str, ...]:
 
     At 1/2, consistency, strong commitment and bounded counting transfer
     (Scott's theorem makes each necessary).  Above 1/2, consistency, the
-    active disjoint-union scheme and the weak counting condition (their
-    proofs only add and compare the measure's bounds; two disjoint sets
-    above c > 1/2 would weigh more than the cell).  Nothing below 1/2.
+    active disjoint-union scheme, the weak counting condition and the
+    load bound (their proofs only add and compare the measure's bounds;
+    two disjoint sets above c > 1/2 would weigh more than the cell).
+    The load bound holds at every c: k believed sets weigh more than
+    k*c >= floor(k*c) in total, yet that total is the sum over the
+    cell's worlds of each world's mass times the number of sets holding
+    it, at most floor(k*c).  It comes last, so it only decides cells
+    that the others leave open.  Nothing below 1/2.
     """
     if c.value == HALF:
         return ("d", "sc", "scott")
     if c.value > HALF:
-        return ("d", _active_scheme(c), "ws")
+        return ("d", _active_scheme(c), "ws", "load")
     return ()
 
 
 def _search(name: str, model: NeighborhoodModel, cell_index: int,
-            cell: int, gens: tuple[int, ...], m_max: int, cell_budget: int):
-    """The first witness that the cell fails condition name, or None.
+            cell: int, gens: tuple[int, ...], c: Threshold, m_max: int,
+            cell_budget: int):
+    """The first witness that the cell fails condition name at c, or None.
 
     The counting searches lose nothing by their reduced spaces:
     shrinking any X preserves the counting condition and enlarging any Y
     preserves it, so X_1 ranges over the generators, the later X's over
     the minimal sets whose cell-complement is unbelieved (generators
-    again for ws), and the Y's over the maximal non-neighborhoods.
+    again for ws), and the Y's over the maximal non-neighborhoods.  The
+    load search likewise takes its k <= m_max sets among the generators,
+    and counts them against floor(k*c) copies of the cell.
     """
     n = model.frame.size
+    lists = itertools.combinations_with_replacement
+    if name == "load":
+        found = _first_dominated(
+            cell, lambda k: lists(gens, k),
+            lambda k: ((cell,) * floor(k * c.value),), m_max)
+        return None if found is None else CellSetWitness(
+            cell_index, _event_sets(found[0], n))
     if name in _COUNTING:
         if cell.bit_count() > cell_budget:
             raise CellTooLargeForBruteForce(
                 f"cell of size {cell.bit_count()} exceeds budget "
                 f"{cell_budget}")
         max_non, min_dual = cell_families(model, cell_index)
-        lists = itertools.combinations_with_replacement
+        if not max_non:
+            return None  # every subset believed; the conclusion always holds
         found = _first_dominated(
             cell,
             (lambda m: lists(gens, m)) if name == "ws" else
             (lambda m: ((x1,) + rest for x1 in gens
                         for rest in lists(min_dual, m - 1))),
-            max_non, m_max)
+            lambda m: lists(max_non, m), m_max)
         return None if found is None else ScottWitness(
             cell_index, _event_sets(found[0], n), _event_sets(found[1], n))
     found = None
     if name == "d":
         # X and cell-X both believed iff two generators are disjoint
-        found = next(((g1, g2) for g1, g2
-                      in itertools.combinations_with_replacement(gens, 2)
+        found = next(((g1, g2) for g1, g2 in lists(gens, 2)
                       if g1 & g2 == 0), None)
     elif name == "sc":
         # a violation with X < Y shrinks to X = Y minus one point, because
@@ -369,8 +383,9 @@ def _search(name: str, model: NeighborhoodModel, cell_index: int,
         cell_index, _event_sets(found, n))
 
 
-def _replays(name: str, cell: int, gens: tuple[int, ...], witness) -> bool:
-    """The witness's sets fail condition name inside the cell."""
+def _replays(name: str, cell: int, gens: tuple[int, ...], witness,
+             c: Threshold) -> bool:
+    """The witness's sets fail condition name at c inside the cell."""
     if name in _COUNTING:
         xs = tuple(x.bits for x in witness.xs)
         ys = tuple(y.bits for y in witness.ys)
@@ -389,6 +404,11 @@ def _replays(name: str, cell: int, gens: tuple[int, ...], witness) -> bool:
     if name == "d":
         return (len(sets) == 2 and sets[0] & sets[1] == 0
                 and all(_believed(gens, x) for x in sets))
+    if name == "load":
+        r = floor(len(sets) * c.value)
+        return (len(sets) > 0 and all(_believed(gens, x) for x in sets)
+                and all(sum(x >> v & 1 for x in sets) <= r
+                        for v in _members(cell)))
     if name == "sc":
         if len(sets) != 2:
             return False
@@ -408,25 +428,25 @@ def _replays(name: str, cell: int, gens: tuple[int, ...], witness) -> bool:
 
 
 def _failures(model: NeighborhoodModel, cell_index: int, names,
-              m_max: int, cell_budget: int):
-    """(name, witness) for each of the named conditions the cell fails,
-    searched lazily in order."""
+              c: Threshold, m_max: int, cell_budget: int):
+    """(name, witness) for each of the named conditions the cell fails at
+    c, searched lazily in order."""
     cell, gens = _masks(model, cell_index)
     for name in names:
-        witness = _search(name, model, cell_index, cell, gens, m_max,
+        witness = _search(name, model, cell_index, cell, gens, c, m_max,
                           cell_budget)
         if witness is not None:
             yield name, witness
 
 
-def _report(model: NeighborhoodModel, names, m_max: int,
+def _report(model: NeighborhoodModel, names, c: Threshold, m_max: int,
             cell_budget: int) -> PropertyReport:
     """Each named condition with the first cell's witness that fails it;
     a condition already failed is not searched in later cells."""
     verdicts = dict.fromkeys(names, Verdict.ok())
     for ci in range(len(model.frame.partition)):
         open_names = [name for name in names if verdicts[name].holds]
-        for name, witness in _failures(model, ci, open_names, m_max,
+        for name, witness in _failures(model, ci, open_names, c, m_max,
                                        cell_budget):
             verdicts[name] = Verdict.fail(witness)
     return PropertyReport(tuple(verdicts.items()))
@@ -441,7 +461,8 @@ def check_mid_threshold(model: NeighborhoodModel,
                         cell_budget: int = DEFAULT_CELL_BUDGET
                         ) -> PropertyReport:
     """Check consistency, strong commitment, and bounded counting transfer."""
-    return _report(model, _necessary(Threshold(HALF)), m_max, cell_budget)
+    half = Threshold(HALF)
+    return _report(model, _necessary(half), half, m_max, cell_budget)
 
 
 def verify_scott_witness(model: NeighborhoodModel, cell_index: int,
@@ -453,7 +474,8 @@ def verify_scott_witness(model: NeighborhoodModel, cell_index: int,
     non-neighborhood cell-complement, and no Y is a neighborhood.
     """
     return _replays("scott", *_masks(model, cell_index),
-                    ScottWitness(cell_index, tuple(xs), tuple(ys)))
+                    ScottWitness(cell_index, tuple(xs), tuple(ys)),
+                    Threshold(HALF))
 
 
 def threshold_step(c: Threshold) -> tuple[Fraction, int]:
@@ -482,8 +504,7 @@ def check_conjectured(model: NeighborhoodModel, c: Threshold,
     """
     if c.value < HALF:
         raise ValueError("conjectured properties apply only for c >= 1/2")
-    return _report(model, (_active_scheme(c), "ws"), m_max,
-                   cell_budget)
+    return _report(model, (_active_scheme(c), "ws"), c, m_max, cell_budget)
 
 
 # ---------------------------------------------------------------------------
@@ -500,7 +521,7 @@ def infeasibility_witness(model: NeighborhoodModel, cell_index: int,
     """
     if len(model.frame.partition[cell_index]) > DEFAULT_CELL_BUDGET:
         return None
-    return next(_failures(model, cell_index, _necessary(c),
+    return next(_failures(model, cell_index, _necessary(c), c,
                           DEFAULT_M_MAX, DEFAULT_CELL_BUDGET), None)
 
 
@@ -515,7 +536,7 @@ def replay_witness(model: NeighborhoodModel, c: Threshold, condition: str,
     return (condition in _necessary(c) and isinstance(witness, kind)
             and 0 <= witness.cell_index < len(model.frame.partition)
             and _replays(condition, *_masks(model, witness.cell_index),
-                         witness))
+                         witness, c))
 
 
 # ---------------------------------------------------------------------------

@@ -172,6 +172,29 @@ class TestPipelines:
                         "xs": [["a", "c", "d"], ["b", "d", "e"]],
                         "ys": [["a", "b", "d"], ["c", "d", "e"]]}}
 
+    def test_synthesize_reports_a_load_witness(self, capsys, tmp_path):
+        # three believed sets with no world in all three: at 2/3 their
+        # masses would sum past 2, yet each world counts at most twice
+        path = tmp_path / "four.json"
+        path.write_text(json.dumps(dict(
+            NBHD_DOC, worlds=list("abcd"), partition=[list("abcd")],
+            valuation={}, generators=[[list("ad"), list("abc"),
+                                       list("bcd")]])))
+        code, out, _ = run(capsys, "synthesize", "--model", str(path),
+                           "--threshold", "2/3")
+        assert code == 1
+        assert out == ("INFEASIBLE\n"
+                       "witness: load fails in cell 0: "
+                       "{a,d} {a,b,c} {b,c,d}\n")
+        code, out, _ = run(capsys, "--json", "synthesize", "--model",
+                           str(path), "--threshold", "2/3")
+        assert code == 1
+        assert json.loads(out) == {
+            "feasible": False, "cell": 0,
+            "witness": {"condition": "load", "cell": 0,
+                        "sets": [["a", "d"], ["a", "b", "c"],
+                                 ["b", "c", "d"]]}}
+
 
 class TestCheckModel:
     def test_walley_fine_base_pass_scott_fail(self, capsys):

@@ -328,7 +328,27 @@ class TestWitnessFirst:
                     decided[res.condition] = decided.get(res.condition,
                                                          0) + 1
         # every kind of witness the searches can give shows up
-        assert set(decided) >= {"d", "sc", "sc1^2", "sc0^2", "sc0^3", "ws"}
+        assert set(decided) >= {"d", "sc", "sc1^2", "sc0^2", "sc0^3", "ws",
+                                "load"}
+
+    def test_no_bare_infeasible_verdict_at_two_thirds(self, monkeypatch):
+        # every cell without a measure at 2/3 fails a searched condition,
+        # so the LP only ever sees feasible cells there
+        def feasible_only(constraints, positivity=()):
+            result = lp_feasible(constraints, positivity)
+            assert result.feasible
+            return result
+
+        monkeypatch.setattr(synthesis, "lp_feasible", feasible_only)
+        two_thirds = Threshold(Fraction(2, 3))
+        infeasible = 0
+        for model in census_systems():
+            res = synthesize_measure(model, two_thirds)
+            if not res.feasible:
+                assert replay_witness(model, two_thirds, res.condition,
+                                      res.witness)
+                infeasible += 1
+        assert infeasible > 200
 
     def test_tampered_witnesses_do_not_replay(self):
         m = make_neighborhood_model(
@@ -365,6 +385,26 @@ class TestWitnessFirst:
             res = synthesize_measure(model, Threshold(Fraction(text)))
             assert res.condition == condition
             cases.append((model, text, condition, res.witness))
+        # three believed sets with no world in all three: at 2/3 they
+        # would weigh more than 2 but each world counts at most twice
+        frame = Frame(tuple("abcde"), (tuple("abcd"), ("e",)), {})
+        ad, abc, bcd = (frame.event(s) for s in ("ad", "abc", "bcd"))
+        two_cells = make_neighborhood_model(
+            frame, [[ad, abc, bcd], [frame.event("e")]])
+        two_thirds = Threshold(Fraction(2, 3))
+        res = synthesize_measure(two_cells, two_thirds)
+        assert res.condition == "load"
+        assert res.witness == CellSetWitness(0, (ad, abc, bcd))
+        cases.append((two_cells, "2/3", "load", res.witness))
+        # the bound is floor(k*c): at 3/5 three sets may share a world
+        # once (floor(1.8) = 1), and load is not searched at 1/2
+        for text in ("3/5", "1/2"):
+            assert not replay_witness(two_cells, Threshold(Fraction(text)),
+                                      "load", res.witness)
+        # an unbelieved set, or one leaving the cell, passes the count
+        for bad in (frame.event("d"), frame.event("ade")):
+            assert not replay_witness(two_cells, two_thirds, "load",
+                                      CellSetWitness(0, (bad, abc, bcd)))
         schemes = {"3/5": "sc1^2", "2/3": "sc0^2", "5/7": "sc1^3",
                    "3/4": "sc0^3"}
         for model, text, condition, w in cases:
