@@ -316,9 +316,9 @@ GOLDEN_REPORTS = {
     "conj 3/5": "df163b5bd85f1511",
     "witness 3/5": "910fa5d7d2e456d3",
     "conj 2/3": "f4a7382aa574a687",
-    "witness 2/3": "c564cc3caebf30ea",
+    "witness 2/3": "00af897443aa27fb",
     "conj 3/4": "d628944a4324e1e7",
-    "witness 3/4": "9adf427596a5d68b",
+    "witness 3/4": "db0829da0d191f34",
 }
 
 
