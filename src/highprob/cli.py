@@ -155,11 +155,16 @@ def _rational(text: str, what: str) -> Fraction:
 
     Anything else is refused before Fraction reads it: Fraction would
     expand exponent notation such as 1e999999999 into an integer with
-    that many digits.
+    that many digits.  So is a run of more digits than the interpreter
+    converts to an int (Python 3.10.7 and later), which Fraction would
+    only refuse after scaling by ten to the number of decimals.
     """
     if not _RATIONAL.fullmatch(text):
         raise HighProbError(f"{what} must be p/q or a plain decimal, "
                             f"not {text!r}")
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and any(len(run) > limit for run in re.findall(r"\d+", text)):
+        raise HighProbError(f"{what} has a run of more than {limit} digits")
     return Fraction(text)
 
 

@@ -374,6 +374,18 @@ class TestErrorContract:
             PROB_DOC, weights={"w1": "1e2000000", "w2": "1"}))
         assert "'w1'" in err and "'1e2000000'" in err
 
+    def test_weight_with_a_million_decimals(self, capsys, tmp_path):
+        # refused before Fraction scales by ten to the millionth
+        err = self.assert_bad_model(capsys, tmp_path, dict(
+            PROB_DOC, weights={"w1": "0." + "1" * 1_000_000, "w2": "1"}))
+        assert "'w1'" in err and len(err) < 100
+
+    def test_weight_with_a_long_numerator(self, capsys, tmp_path):
+        # past the interpreter's int conversion limit
+        err = self.assert_bad_model(capsys, tmp_path, dict(
+            PROB_DOC, weights={"w1": "1" * 5000 + "/3", "w2": "1"}))
+        assert "'w1'" in err and len(err) < 100
+
     def test_formula_nested_too_deep(self, capsys):
         err = self.assert_error(capsys, "eval", "--model", "horses3",
                                 "--world", "w1",
