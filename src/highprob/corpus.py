@@ -72,6 +72,8 @@ def non_consequence_model(c: Fraction) -> ProbabilityModel:
 WF_WORLDS = ("a", "b", "c", "d", "e", "f", "g")
 WF_X_LISTS = ("efg", "abg", "adf", "bde", "ace", "cdg", "bcf")
 WF_Y_LISTS = ("abcd", "cdef", "bceg", "acfg", "bdfg", "abef", "adeg")
+WF_X2_LISTS = ("ace", "bde")
+WF_Y2_LISTS = ("abef", "cdef")
 
 
 def _wf_event(letters: str) -> EventSet:
@@ -89,11 +91,23 @@ def walley_fine_model() -> NeighborhoodModel:
 
 def walley_fine_witness() -> tuple[tuple[EventSet, ...],
                                    tuple[EventSet, ...]]:
-    """The stored m = 7 counting violation: the X-list is the generator
-    family, the Y-list its setwise complements, and every world lies in
-    three X's but four Y's."""
+    """The classical m = 7 counting violation: the X-list is the
+    generator family, the Y-list its setwise complements, and every
+    world lies in three X's but four Y's.  It is not the shortest: the
+    model already fails Scott's condition with m = 2 (see
+    walley_fine_scott2_witness)."""
     return (tuple(_wf_event(s) for s in WF_X_LISTS),
             tuple(_wf_event(s) for s in WF_Y_LISTS))
+
+
+def walley_fine_scott2_witness() -> tuple[tuple[EventSet, ...],
+                                          tuple[EventSet, ...]]:
+    """A counting violation with m = 2, the shortest there is: X_1 =
+    {a,c,e} is a generator, the cell-complement {a,c,f,g} of X_2 =
+    {b,d,e} holds none, neither Y holds one, and each world lies in at
+    least as many Y's as X's."""
+    return (tuple(_wf_event(s) for s in WF_X2_LISTS),
+            tuple(_wf_event(s) for s in WF_Y2_LISTS))
 
 
 # ---------------------------------------------------------------------------

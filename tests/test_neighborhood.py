@@ -17,6 +17,7 @@ from highprob.corpus import (
     horses_cut,
     horses_uniform,
     walley_fine_model,
+    walley_fine_scott2_witness,
     walley_fine_witness,
 )
 from highprob.errors import CellTooLargeForBruteForce, FrameMismatch
@@ -215,6 +216,12 @@ class TestScottWitnessReplay:
         assert not verify_scott_witness(model, 0, xs, xs)
         # first X not believed
         assert not verify_scott_witness(model, 0, ys, xs)
+
+    def test_stored_m2_witness_is_the_searchs_first(self):
+        report = check_mid_threshold(walley_fine_model(), m_max=2,
+                                     cell_budget=7)
+        assert report["scott"].witness \
+            == ScottWitness(0, *walley_fine_scott2_witness())
 
 
 class TestConjectured:
