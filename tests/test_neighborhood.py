@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import random
 from fractions import Fraction
+from math import floor
 
 import pytest
 
@@ -23,6 +24,7 @@ from highprob.corpus import (
 from highprob.errors import CellTooLargeForBruteForce, FrameMismatch
 from highprob.formula import Threshold
 from highprob.neighborhood import (
+    CellSetWitness,
     ScottWitness,
     check_agreement,
     check_base_properties,
@@ -120,6 +122,18 @@ def nested_first_witness(model, m_max, weak):
     return None
 
 
+def nested_first_load(model, ci, c, k_max):
+    """The first load witness of the plain nested search: k generators,
+    repeats allowed, with no world of the cell in more than floor(k*c)."""
+    cell, gens = model.frame.partition[ci], model.cell_generators(ci)
+    for k in range(1, k_max + 1):
+        for xs in itertools.combinations_with_replacement(gens, k):
+            if all(sum(v in x for x in xs) <= floor(k * c.value)
+                   for v in cell.indices()):
+                return CellSetWitness(ci, xs)
+    return None
+
+
 class TestMidThreshold:
     def test_d_fails_on_disjoint_generators(self):
         report = check_mid_threshold(one_cell(4, [[0, 1], [2, 3]]))
@@ -197,6 +211,14 @@ class TestMidThreshold:
                 == nested_first_witness(model, 3, False)
             assert check_conjectured(model, two_thirds)["ws"].witness \
                 == nested_first_witness(model, 3, True)
+            # load is searched last, so it shows only where the others
+            # find nothing; there its witness is the nested search's
+            for ci in range(len(model.frame.partition)):
+                for c in (two_thirds, Threshold(Fraction(3, 4))):
+                    found = infeasibility_witness(model, ci, c)
+                    if found is None or found[0] == "load":
+                        assert (found and found[1]) \
+                            == nested_first_load(model, ci, c, 3)
         wf = walley_fine_model()
         got = check_mid_threshold(wf, m_max=7, cell_budget=7)["scott"]
         assert got.witness == nested_first_witness(wf, 7, False)
