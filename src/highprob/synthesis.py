@@ -13,12 +13,11 @@ Synthesis is certificate-first.  Before a cell's LP is built, the
 bounded property searches of ``neighborhood`` look for a failed
 condition that every agreeing measure at c must satisfy; that module
 says which conditions these are at each c.  Above 1/2 the last of
-them, ``load``, bounds how many of k believed sets may share a world
-by floor(k*c), so the sets would weigh more than k*c in total but at
-most floor(k*c); it decides the cells the named schemes leave open,
-such as three believed sets covering no world three times at 2/3.
-A witness is replayed
-without search and returned on the result in place of a bare
+them, ``load``, fails when k believed sets put no world in more than
+floor(k*c) of them: the sets would weigh more than k*c in total but at
+most floor(k*c).  It decides cells the named schemes leave open, such
+as three believed sets with no world in all three at 2/3.  A witness is
+replayed without search and returned on the result in place of a bare
 infeasible verdict, with the failed cell the LP would report; the CLI
 prints it as one ``witness:`` line.  Only cells without a witness reach
 the simplex.
