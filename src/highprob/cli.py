@@ -37,6 +37,8 @@ from .core import (
 from .errors import FormulaSyntaxError, HighProbError
 from .formula import Threshold, parse_kb, parse_l
 from .neighborhood import (
+    DEFAULT_CELL_BUDGET,
+    DEFAULT_M_MAX,
     PropertyReport,
     ScottWitness,
     check_agreement,
@@ -575,9 +577,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--mid-threshold", action="store_true")
     p.add_argument("--conjectured", metavar="C")
-    p.add_argument("--m-max", type=int, default=3)
-    p.add_argument("--cell-budget", type=int, default=6,
-                   help="largest cell the counting-transfer search accepts")
+    p.add_argument("--m-max", type=int, default=DEFAULT_M_MAX,
+                   help="longest list the counting searches try "
+                        "(default %(default)s)")
+    p.add_argument("--cell-budget", type=int, default=DEFAULT_CELL_BUDGET,
+                   help="most worlds in a cell the counting searches "
+                        "accept (default %(default)s)")
     p.set_defaults(func=cmd_check_model)
 
     p = sub.add_parser("derive",

@@ -31,7 +31,7 @@ from .errors import CellTooLargeForBruteForce, FrameMismatch
 from .formula import Threshold
 
 DEFAULT_M_MAX = 3
-DEFAULT_CELL_BUDGET = 6
+DEFAULT_CELL_BUDGET = 7
 HALF = Fraction(1, 2)
 
 
@@ -517,7 +517,9 @@ def infeasibility_witness(model: NeighborhoodModel, cell_index: int,
     system at c, found by the bounded property searches, or None.
 
     None means only that the searches found nothing: always below 1/2
-    and on cells larger than DEFAULT_CELL_BUDGET, which they skip.
+    and on cells larger than DEFAULT_CELL_BUDGET, which they skip.  At 7
+    worlds, Walley and Fine's cell still gets one: the stored m = 2
+    counting violation fails scott at 1/2 and ws above it.
     """
     if len(model.frame.partition[cell_index]) > DEFAULT_CELL_BUDGET:
         return None

@@ -143,6 +143,14 @@ class TestPipelines:
                            "--threshold", "1/2")
         assert code == 1 and "INFEASIBLE" in out
 
+    def test_synthesize_walley_fine_reports_the_m2_witness(self, capsys):
+        code, out, _ = run(capsys, "synthesize", "--model", "walley-fine",
+                           "--threshold", "1/2")
+        assert code == 1
+        assert out == ("INFEASIBLE\n"
+                       "witness: scott fails in cell 0, m = 2: "
+                       "X {a,c,e} {b,d,e}; Y {a,b,e,f} {c,d,e,f}\n")
+
     def test_synthesize_reports_the_witness(self, capsys, tmp_path):
         # a 5-world cell: strong commitment fails at 1/2, and a counting
         # witness with m = 2 shows it has no measure at 2/3
@@ -200,9 +208,15 @@ class TestCheckModel:
     def test_walley_fine_base_pass_scott_fail(self, capsys):
         code, out, _ = run(capsys, "check-model", "--model", "walley-fine")
         assert code == 0
+        code, out, _ = run(capsys, "check-model", "--model", "walley-fine",
+                           "--mid-threshold", "--json")
+        assert code == 1  # 7 worlds are within the default budget
+        assert json.loads(out)["mid-threshold"]["scott"]["witness"] == {
+            "cell": 0, "xs": [["a", "c", "e"], ["b", "d", "e"]],
+            "ys": [["a", "b", "e", "f"], ["c", "d", "e", "f"]]}
         code, _, err = run(capsys, "check-model", "--model", "walley-fine",
-                           "--mid-threshold")
-        assert code == 2 and "budget" in err  # 7-world cell, default 6
+                           "--mid-threshold", "--cell-budget", "6")
+        assert code == 2 and "budget" in err
         code, out, _ = run(capsys, "check-model", "--model", "walley-fine",
                            "--mid-threshold", "--cell-budget", "7", "--json")
         assert code == 1

@@ -278,7 +278,7 @@ class TestConjectured:
 def golden_models():
     """Every skeleton with at most 4 worlds, seeded one-cell systems on 5
     and 6 worlds (derived from measures, and random antichains), and
-    Walley-Fine, whose 7-world cell exceeds the default cell budget."""
+    Walley-Fine, whose cell has 7 worlds."""
     yield from enumerate_neighborhood_models(4, ())
     rng = random.Random(20261018)
     for k, count in ((5, 24), (6, 8)):

@@ -428,6 +428,27 @@ class TestWitnessFirst:
                     assert not replay_witness(
                         model, Threshold(Fraction(other_text)), other, w)
 
+    def test_walley_fine_is_decided_by_witnesses(self, monkeypatch):
+        solved = []
+
+        def recording(*args, **kwargs):
+            solved.append(lp_feasible(*args, **kwargs))
+            return solved[-1]
+
+        monkeypatch.setattr(synthesis, "lp_feasible", recording)
+        m = walley_fine_model()
+        for text, condition in (("1/2", "scott"), ("3/5", "ws"),
+                                ("2/3", "ws"), ("3/4", "ws")):
+            c = Threshold(Fraction(text))
+            res = synthesize_measure(m, c)
+            assert not res.feasible and res.condition == condition
+            assert replay_witness(m, c, condition, res.witness)
+        assert solved == []
+        # no condition is searched below 1/2
+        res = synthesize_measure(m, Threshold(Fraction(1, 3)))
+        assert not res.feasible and res.witness is None
+        assert len(solved) == 1
+
     def test_large_cells_go_to_the_lp(self, monkeypatch):
         solved = []
 
@@ -436,9 +457,48 @@ class TestWitnessFirst:
             return solved[-1]
 
         monkeypatch.setattr(synthesis, "lp_feasible", recording)
-        res = synthesize_measure(walley_fine_model(), HALF)
+        # two disjoint believed sets fail d, but 8 worlds are over the
+        # searches' budget
+        worlds = tuple("abcdefgh")
+        frame = Frame(worlds, (worlds,), {})
+        model = make_neighborhood_model(
+            frame, [[frame.event("abcd"), frame.event("efgh")]])
+        res = synthesize_measure(model, HALF)
         assert not res.feasible and res.witness is None
         assert len(solved) == 1
+
+    def test_seven_world_cells_match_the_lp_alone(self, monkeypatch):
+        solved = {}
+
+        def solve(constraints, positivity=()):
+            key = (tuple(constraints), tuple(positivity))
+            if key not in solved:
+                solved[key] = lp_feasible(constraints, positivity)
+            return solved[key]
+
+        monkeypatch.setattr(synthesis, "lp_feasible", solve)
+        rng = random.Random(7)
+        worlds = tuple(f"w{i}" for i in range(7))
+        frame = Frame(worlds, (worlds,), {})
+        measures = [cell_model(rng, 7) for _ in range(2)]
+        antichains = [make_neighborhood_model(frame, [[
+            EventSet(rng.randrange(1, 1 << 7), 7)
+            for _ in range(rng.randint(2, 6))]]) for _ in range(4)]
+        witnesses = 0
+        for text in ("1/2", "2/3"):
+            c = Threshold(Fraction(text))
+            for model in [derive_neighborhoods(m, c) for m in measures] \
+                    + antichains:
+                res = synthesize_measure(model, c)
+                assert (res.feasible, res.failed_cell) \
+                    == lp_only(model, c, solve)
+                if res.feasible:
+                    assert check_agreement(model, res.model, c).holds
+                elif res.witness is not None:
+                    assert replay_witness(model, c, res.condition,
+                                          res.witness)
+                    witnesses += 1
+        assert witnesses > 0
 
 
 class TestComparative:
