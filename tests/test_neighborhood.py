@@ -337,17 +337,17 @@ def golden_reports():
 # sha256 prefixes of golden_reports(), one per section
 GOLDEN_REPORTS = {
     "base": "54482040bf001c7b",
-    "mid": "5da109120addf39e",
+    "mid": "36f67118dda609e3",
     "mid m2 b5": "6e441d46c125526d",
     "witness 1/3": "6061208e6c736d38",
-    "conj 1/2": "c0e5376d42b99cc1",
-    "witness 1/2": "b72809969a9735c6",
-    "conj 3/5": "df163b5bd85f1511",
-    "witness 3/5": "910fa5d7d2e456d3",
-    "conj 2/3": "f4a7382aa574a687",
-    "witness 2/3": "00af897443aa27fb",
-    "conj 3/4": "d628944a4324e1e7",
-    "witness 3/4": "db0829da0d191f34",
+    "conj 1/2": "99bf5e72b4674f39",
+    "witness 1/2": "bad30ac0dbcc1e82",
+    "conj 3/5": "669d863f941c46ef",
+    "witness 3/5": "19c82421d8f6425a",
+    "conj 2/3": "e031aa3d8032d285",
+    "witness 2/3": "5db22c9365620fda",
+    "conj 3/4": "c6c50d212cc03813",
+    "witness 3/4": "700b9ff2b6006f26",
 }
 
 
