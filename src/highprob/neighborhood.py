@@ -32,6 +32,9 @@ from .formula import Threshold
 
 DEFAULT_M_MAX = 3
 DEFAULT_CELL_BUDGET = 7
+# the longest load list; the search grows with the number of lists,
+# C(g + k - 1, k) over g generators, before pruning
+LOAD_K_MAX = 7
 HALF = Fraction(1, 2)
 
 
@@ -222,23 +225,12 @@ def cell_families(model: NeighborhoodModel, cell_index: int
     return families
 
 
-def _first_dominated(cell: int, xs_of, ys_of, m_max: int):
-    """The first (xs, ys), for m = 1 .. m_max, with xs running through
-    xs_of(m) and ys through ys_of(m), in which every world of the cell
-    lies in at least as many Y's as X's; None if there is none.
-
-    Each set is packed into one int with a field of m_max.bit_length() + 1
-    bits per world of the cell, so a list's sum holds its count vector.
-    No field of a sum of at most m_max sets reaches the field's top bit,
-    which serves as a guard: (ysum + G) - xsum, with G the guard bits,
-    borrows from a field's guard exactly when that field's X-count
-    exceeds its Y-count.  Equal sums give equal answers, so each Y-sum is
-    kept once, at its first list, and each X-sum is tested once; the
-    first hit is therefore the first in the nested order.
-    """
-    width = m_max.bit_length() + 1
+def _packing(cell: int, width: int):
+    """A packer putting each set into one int, with a field of width bits
+    per world of the cell holding 1 where the world is in the set, so a
+    list's sum holds its count vector; and the guard bits, the top bit
+    of every field."""
     shift = {v: j * width for j, v in enumerate(_members(cell))}
-    guard = sum(1 << (s + width - 1) for s in shift.values())
     packed: dict[int, int] = {}
 
     def pack(x: int) -> int:
@@ -247,6 +239,23 @@ def _first_dominated(cell: int, xs_of, ys_of, m_max: int):
             p = packed[x] = sum(1 << shift[v] for v in _members(x & cell))
         return p
 
+    return pack, sum(1 << (s + width - 1) for s in shift.values())
+
+
+def _first_dominated(cell: int, xs_of, ys_of, m_max: int):
+    """The first (xs, ys), for m = 1 .. m_max, with xs running through
+    xs_of(m) and ys through ys_of(m), in which every world of the cell
+    lies in at least as many Y's as X's; None if there is none.
+
+    The sets are packed with fields of m_max.bit_length() + 1 bits.  No
+    field of a sum of at most m_max sets reaches its guard bit: (ysum +
+    G) - xsum, with G the guard bits, borrows from a field's guard
+    exactly when that field's X-count exceeds its Y-count.  Equal sums
+    give equal answers, so each Y-sum is kept once, at its first list,
+    and each X-sum is tested once; the first hit is therefore the first
+    in the nested order.
+    """
+    pack, guard = _packing(cell, m_max.bit_length() + 1)
     for m in range(1, m_max + 1):
         ysums: dict[int, tuple[int, ...]] = {}
         for ys in ys_of(m):
@@ -261,6 +270,42 @@ def _first_dominated(cell: int, xs_of, ys_of, m_max: int):
             for ysum, ys in ysums.items():
                 if (ysum - low) & guard == guard:
                     return xs, ys
+    return None
+
+
+def _first_load(cell: int, gens: tuple[int, ...], c: Fraction, k_max: int):
+    """The first list of k generators, for k = 1 .. k_max, repeats
+    allowed, in combinations-with-replacement order, that puts no world
+    of the cell in more than floor(k*c) of them; None if there is none.
+
+    A world's count only grows along a list, so the depth-first walk
+    drops a prefix as soon as one count passes floor(k*c), and the first
+    list it completes is the first in order.  With fields of w bits and
+    r = floor(k*c) < k, adding 2**(w-1) - 1 - r to each field of a
+    prefix's packed sum sets the field's guard bit exactly when its
+    count passes r.
+    """
+    width = k_max.bit_length() + 1
+    pack, guard = _packing(cell, width)
+    packed = [pack(g) for g in gens]
+    ones = guard >> (width - 1)
+
+    def walk(k: int, bias: int, start: int, total: int, chosen: tuple):
+        if len(chosen) == k:
+            return chosen
+        for i in range(start, len(gens)):
+            t = total + packed[i]
+            if not (t + bias) & guard:
+                found = walk(k, bias, i, t, chosen + (gens[i],))
+                if found:
+                    return found
+        return None
+
+    for k in range(1, k_max + 1):
+        bias = ((1 << (width - 1)) - 1 - floor(k * c)) * ones
+        found = walk(k, bias, 0, 0, ())
+        if found:
+            return found
     return None
 
 
@@ -281,7 +326,8 @@ def _event_sets(masks, universe_size: int) -> tuple[EventSet, ...]:
 #           unbelieved proper superset Y of their union
 #   sc1^s   as sc0^s with their union itself the unbelieved Y
 #   load    k believed sets, repeats allowed, with no world of the cell
-#           in more than floor(k*c) of them; k = 2 above 1/2 is d
+#           in more than floor(k*c) of them; k = 2 above 1/2 is d, and
+#           k runs up to the denominator of c, at most LOAD_K_MAX
 #
 # A violation of d or sc is a CellSetWitness listing X and Y, of sc0^s
 # the X's then Y, of sc1^s the X's, and of load the k sets; of scott or
@@ -322,17 +368,17 @@ def _search(name: str, model: NeighborhoodModel, cell_index: int,
     preserves it, so X_1 ranges over the generators, the later X's over
     the minimal sets whose cell-complement is unbelieved (generators
     again for ws), and the Y's over the maximal non-neighborhoods.  The
-    load search likewise takes its k <= m_max sets among the generators,
-    and counts them against floor(k*c) copies of the cell.
+    load search likewise takes its k sets among the generators.  Its k
+    runs up to the denominator q of c, the first k at which floor(k*c) =
+    k*c loses nothing to rounding, but not past LOAD_K_MAX.
     """
     n = model.frame.size
     lists = itertools.combinations_with_replacement
     if name == "load":
-        found = _first_dominated(
-            cell, lambda k: lists(gens, k),
-            lambda k: ((cell,) * floor(k * c.value),), m_max)
+        found = _first_load(cell, gens, c.value,
+                            min(c.value.denominator, LOAD_K_MAX))
         return None if found is None else CellSetWitness(
-            cell_index, _event_sets(found[0], n))
+            cell_index, _event_sets(found, n))
     if name in _COUNTING:
         if cell.bit_count() > cell_budget:
             raise CellTooLargeForBruteForce(

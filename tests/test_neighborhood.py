@@ -24,6 +24,7 @@ from highprob.corpus import (
 from highprob.errors import CellTooLargeForBruteForce, FrameMismatch
 from highprob.formula import Threshold
 from highprob.neighborhood import (
+    LOAD_K_MAX,
     CellSetWitness,
     ScottWitness,
     check_agreement,
@@ -206,6 +207,7 @@ class TestMidThreshold:
             models.append(one_cell(5, [EventSet(b, 5).indices() for b in
                                        rng.sample(subs, rng.randint(2, 5))]))
         two_thirds = Threshold(Fraction(2, 3))
+        lengths = set()
         for model in models:
             assert check_mid_threshold(model)["scott"].witness \
                 == nested_first_witness(model, 3, False)
@@ -214,11 +216,18 @@ class TestMidThreshold:
             # load is searched last, so it shows only where the others
             # find nothing; there its witness is the nested search's
             for ci in range(len(model.frame.partition)):
-                for c in (two_thirds, Threshold(Fraction(3, 4))):
+                for c in (two_thirds, Threshold(Fraction(3, 4)),
+                          Threshold(Fraction(3, 5)),
+                          Threshold(Fraction(5, 7)),
+                          Threshold(Fraction(11, 20))):
                     found = infeasibility_witness(model, ci, c)
                     if found is None or found[0] == "load":
-                        assert (found and found[1]) \
-                            == nested_first_load(model, ci, c, 3)
+                        assert (found and found[1]) == nested_first_load(
+                            model, ci, c,
+                            min(c.value.denominator, LOAD_K_MAX))
+                        lengths.add(found and len(found[1].sets))
+        # load's k runs past m_max, up to the denominator of c
+        assert {4, 5} <= lengths
         wf = walley_fine_model()
         got = check_mid_threshold(wf, m_max=7, cell_budget=7)["scott"]
         assert got.witness == nested_first_witness(wf, 7, False)

@@ -428,6 +428,39 @@ class TestWitnessFirst:
                     assert not replay_witness(
                         model, Threshold(Fraction(other_text)), other, w)
 
+    def test_no_bare_infeasible_verdict_above_two_thirds(self,
+                                                         monkeypatch):
+        # load's k runs up to the denominator of c: 7 at 5/7, 4 at 3/4
+        # and 5 at 4/5 decide the cells the other conditions leave open
+        def feasible_only(constraints, positivity=()):
+            result = lp_feasible(constraints, positivity)
+            assert result.feasible
+            return result
+
+        monkeypatch.setattr(synthesis, "lp_feasible", feasible_only)
+        models = list(census_systems())
+        for text in ("5/7", "3/4", "4/5"):
+            c = Threshold(Fraction(text))
+            loads = 0
+            for model in models:
+                res = synthesize_measure(model, c)
+                if not res.feasible:
+                    assert replay_witness(model, c, res.condition,
+                                          res.witness)
+                    loads += res.condition == "load"
+            assert loads > 30
+
+    def test_two_bare_infeasible_verdicts_at_three_fifths(self):
+        c = Threshold(Fraction(3, 5))
+        bare = [[[g.indices() for g in gens] for gens in model.generators]
+                for model in census_systems()
+                if not (res := synthesize_measure(model, c)).feasible
+                and res.witness is None]
+        assert bare == [
+            [[(0, 3, 4), (1, 3, 4), (2, 3, 4), (0, 1, 2, 3)]],
+            [[(0, 1, 5), (0, 1, 2, 4), (1, 2, 3, 5), (1, 2, 4, 5),
+              (1, 3, 4, 5), (0, 2, 3, 4, 5)]]]
+
     def test_walley_fine_is_decided_by_witnesses(self, monkeypatch):
         solved = []
 
