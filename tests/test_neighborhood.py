@@ -352,11 +352,11 @@ GOLDEN_REPORTS = {
     "conj 1/2": "99bf5e72b4674f39",
     "witness 1/2": "bad30ac0dbcc1e82",
     "conj 3/5": "669d863f941c46ef",
-    "witness 3/5": "19c82421d8f6425a",
+    "witness 3/5": "e693fa954a1ceb64",
     "conj 2/3": "e031aa3d8032d285",
     "witness 2/3": "5db22c9365620fda",
     "conj 3/4": "c6c50d212cc03813",
-    "witness 3/4": "700b9ff2b6006f26",
+    "witness 3/4": "7caebbdd85640289",
 }
 
 
