@@ -457,12 +457,12 @@ def _demo_walley_fine(args) -> int:
     frame = model.frame
     base = check_base_properties(model)
     witness_ok = verify_scott_witness(model, 0, xs, ys)
-    # the model already fails Scott's condition at m = 2; its stored
-    # witness is replayed too, and the exit code says whether it holds
+    # the model already fails Scott's condition at m = 2, the smallest m
+    # that can fail; its stored witness is replayed too
     scott2_ok = verify_scott_witness(model, 0, xs2, ys2)
     thresholds = [Fraction(1, 3), Fraction(1, 2), Fraction(3, 5),
                   Fraction(2, 3), Fraction(3, 4)]
-    synth = {str(c): synthesize_measure(model, Threshold(c)).feasible
+    synth = {str(c): synthesize_measure(model, Threshold(c))
              for c in thresholds}
     x_counts = [sum(1 for x in xs if i in x) for i in range(frame.size)]
     y_counts = [sum(1 for y in ys if i in y) for i in range(frame.size)]
@@ -472,25 +472,40 @@ def _demo_walley_fine(args) -> int:
             "verified": witness_ok,
             "xs": [_names(frame, x) for x in xs],
             "ys": [_names(frame, y) for y in ys]},
-        "synthesis_feasible": synth,
+        "smallest_counting_violation": {
+            "m": len(xs2),
+            "verified": scott2_ok,
+            "xs": [_names(frame, x) for x in xs2],
+            "ys": [_names(frame, y) for y in ys2]},
+        "synthesis_feasible": {c: r.feasible for c, r in synth.items()},
+        "synthesis_condition": {c: r.condition for c, r in synth.items()},
         "x_occurrences": x_counts,
         "y_occurrences": y_counts,
     }
+
+    def show(sets):
+        return " ".join("".join(frame.names(x)) for x in sets)
+
     lines = [
         f"base properties: {'all hold' if base.all_hold else 'FAIL'}",
         "counting violation (m = 7): "
         + ("verified" if witness_ok else "NOT VERIFIED"),
-        "  X: " + " ".join("".join(frame.names(x)) for x in xs),
-        "  Y: " + " ".join("".join(frame.names(y)) for y in ys),
+        "  X: " + show(xs),
+        "  Y: " + show(ys),
         "  each world in "
         + f"{x_counts[0]} X-members and {y_counts[0]} Y-members",
+        f"smallest counting violation (m = {len(xs2)}): "
+        + ("verified" if scott2_ok else "NOT VERIFIED"),
+        "  X: " + show(xs2),
+        "  Y: " + show(ys2),
     ]
-    for c in thresholds:
-        lines.append(f"synthesize at c = {c}: "
-                     + ("Feasible" if synth[str(c)] else "INFEASIBLE"))
+    for c, r in synth.items():
+        lines.append(f"synthesize at c = {c}: " + (
+            "Feasible" if r.feasible else "INFEASIBLE, "
+            + (f"{r.condition} fails" if r.condition else "by the LP")))
     _emit(args, payload, "\n".join(lines))
     ok = (base.all_hold and witness_ok and scott2_ok
-          and not any(synth.values()))
+          and not any(r.feasible for r in synth.values()))
     return 0 if ok else 1
 
 

@@ -423,6 +423,25 @@ class TestDemos:
         assert doc["x_occurrences"] == [3] * 7
         assert doc["y_occurrences"] == [4] * 7
         assert set(doc["synthesis_feasible"].values()) == {False}
+        assert doc["smallest_counting_violation"] == {
+            "m": 2, "verified": True, "xs": [["a", "c", "e"], ["b", "d", "e"]],
+            "ys": [["a", "b", "e", "f"], ["c", "d", "e", "f"]]}
+        assert doc["synthesis_condition"] == {
+            "1/3": None, "1/2": "scott", "3/5": "ws", "2/3": "ws",
+            "3/4": "ws"}
+
+    def test_walley_fine_text(self, capsys):
+        code, out, _ = run(capsys, "demo", "walley-fine")
+        assert code == 0
+        assert out.splitlines()[5:] == [
+            "smallest counting violation (m = 2): verified",
+            "  X: ace bde",
+            "  Y: abef cdef",
+            "synthesize at c = 1/3: INFEASIBLE, by the LP",
+            "synthesize at c = 1/2: INFEASIBLE, scott fails",
+            "synthesize at c = 3/5: INFEASIBLE, ws fails",
+            "synthesize at c = 2/3: INFEASIBLE, ws fails",
+            "synthesize at c = 3/4: INFEASIBLE, ws fails"]
 
     def test_json_output_deterministic(self, capsys):
         a = run(capsys, "demo", "kps", "--json")
