@@ -15,12 +15,13 @@ condition that every agreeing measure at c must satisfy; that module
 says which conditions these are at each c.  Above 1/2 the last of
 them, ``load``, fails when k believed sets put no world in more than
 floor(k*c) of them: the sets would weigh more than k*c in total but at
-most floor(k*c).  It decides cells the named schemes leave open, such
-as three believed sets with no world in all three at 2/3.  A witness is
-replayed without search and returned on the result in place of a bare
-infeasible verdict, with the failed cell the LP would report; the CLI
-prints it as one ``witness:`` line.  Only cells without a witness reach
-the simplex.
+most floor(k*c).  Its k runs up to the denominator of c, at most 7.  It
+decides cells the named schemes leave open, such as three believed sets
+with no world in all three at 2/3.  The searches take cells of up to 7
+worlds, Walley and Fine's among them.  A witness is replayed without
+search and returned on the result in place of a bare infeasible
+verdict, with the failed cell the LP would report; the CLI prints it as
+one ``witness:`` line.  Only cells without a witness reach the simplex.
 """
 
 from __future__ import annotations
