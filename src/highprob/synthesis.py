@@ -394,55 +394,57 @@ def check_definetti(leq: Callable[[EventSet, EventSet], bool],
     1. the universe is not below the empty set; 2. the empty set is below
     everything; 3. totality; 4. transitivity; 5. adding or removing a
     common disjoint part does not change a comparison.
+
+    The oracle is called exactly once per ordered pair of events, 4^n
+    calls in all, so it must be a pure function.  Its answers are kept as
+    one bitmask per event, ``up[x]`` with bit y set when X is below Y, and
+    the five checks read only that table.  Each failed condition reports
+    the first witness of nested loops over events in increasing bitmask
+    order.
     """
     if universe_size > 5:
         raise UniverseTooLarge("condition table limited to 5 worlds")
     n = universe_size
-    events = [EventSet(bits, n) for bits in range(1 << n)]
-    full = EventSet.full(n)
-    empty = EventSet.empty(n)
+    size = 1 << n
+    full = size - 1
+    events = [EventSet(bits, n) for bits in range(size)]
+    up = [sum(1 << y for y in range(size) if leq(events[x], events[y]))
+          for x in range(size)]
+
+    def lowest(mask: int) -> EventSet:
+        return events[(mask & -mask).bit_length() - 1]
 
     nontrivial = Verdict.ok()
-    if leq(full, empty):
-        nontrivial = Verdict.fail((full, empty))
+    if up[full] & 1:
+        nontrivial = Verdict.fail((events[full], events[0]))
 
     minimal = Verdict.ok()
-    for x in events:
-        if not leq(empty, x):
-            minimal = Verdict.fail((empty, x))
-            break
+    if up[0] != (1 << size) - 1:
+        minimal = Verdict.fail((events[0], lowest(~up[0])))
 
     total_v = Verdict.ok()
-    for x, y in itertools.combinations(events, 2):
-        if not (leq(x, y) or leq(y, x)):
-            total_v = Verdict.fail((x, y))
+    for x, y in itertools.combinations(range(size), 2):
+        if not (up[x] >> y & 1 or up[y] >> x & 1):
+            total_v = Verdict.fail((events[x], events[y]))
             break
 
     transitive = Verdict.ok()
-    for x in events:
-        for y in events:
-            if not leq(x, y):
-                continue
-            for z in events:
-                if leq(y, z) and not leq(x, z):
-                    transitive = Verdict.fail((x, y, z))
-                    break
-            if not transitive.holds:
-                break
-        if not transitive.holds:
+    for x, y in itertools.product(range(size), repeat=2):
+        gap = up[y] & ~up[x]
+        if up[x] >> y & 1 and gap:
+            transitive = Verdict.fail((events[x], events[y], lowest(gap)))
             break
 
     additive = Verdict.ok()
-    for x in events:
-        for y in events:
-            rest = full.difference(x.union(y))
-            for z in rest.subsets():
-                if leq(x, y) != leq(x.union(z), y.union(z)):
-                    additive = Verdict.fail((x, y, z))
-                    break
-            if not additive.holds:
-                break
-        if not additive.holds:
+    for x, y in itertools.product(range(size), repeat=2):
+        # the nonempty subsets z of the rest in increasing bitmask order;
+        # adding the empty set changes no comparison
+        rest = full & ~(x | y)
+        z = rest & -rest
+        while z and up[x] >> y & 1 == up[x | z] >> (y | z) & 1:
+            z = (z - rest) & rest
+        if z:
+            additive = Verdict.fail((events[x], events[y], events[z]))
             break
 
     return PropertyReport((

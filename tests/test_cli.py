@@ -328,6 +328,14 @@ class TestErrorContract:
                                 "--statements", str(missing))
         assert "statements" in err
 
+    def test_definetti_above_five_worlds(self, capsys, tmp_path):
+        stmts = tmp_path / "stmts.txt"
+        stmts.write_text("a < b\n")
+        err = self.assert_error(capsys, "comparative", "--universe",
+                                "a b c d e f", "--statements", str(stmts),
+                                "--definetti")
+        assert err == "error: condition table limited to 5 worlds\n"
+
     def test_duplicate_worlds(self, capsys):
         err = self.assert_error(capsys, "comparative", "--universe", "a a")
         assert "duplicate" in err

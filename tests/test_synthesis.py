@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -19,7 +20,9 @@ from highprob.corpus import (
 from highprob.formula import Threshold
 from highprob.neighborhood import (
     CellSetWitness,
+    PropertyReport,
     ScottWitness,
+    Verdict,
     check_agreement,
     derive_neighborhoods,
     replay_witness,
@@ -556,6 +559,70 @@ class TestComparative:
         assert res.as_dict()["p_a"] == res.as_dict()["p_b"] == Fraction(1, 2)
 
 
+def witness_bits(report):
+    return {name: v.witness and tuple(e.bits for e in v.witness)
+            for name, v in report.verdicts}
+
+
+def definetti_by_loops(leq, n):
+    """check_definetti as nested loops that ask the oracle at every step:
+    the reference for the table-driven version."""
+    events = [EventSet(bits, n) for bits in range(1 << n)]
+    full = EventSet.full(n)
+    empty = EventSet.empty(n)
+
+    nontrivial = Verdict.ok()
+    if leq(full, empty):
+        nontrivial = Verdict.fail((full, empty))
+
+    minimal = Verdict.ok()
+    for x in events:
+        if not leq(empty, x):
+            minimal = Verdict.fail((empty, x))
+            break
+
+    total_v = Verdict.ok()
+    for x, y in itertools.combinations(events, 2):
+        if not (leq(x, y) or leq(y, x)):
+            total_v = Verdict.fail((x, y))
+            break
+
+    transitive = Verdict.ok()
+    for x in events:
+        for y in events:
+            if not leq(x, y):
+                continue
+            for z in events:
+                if leq(y, z) and not leq(x, z):
+                    transitive = Verdict.fail((x, y, z))
+                    break
+            if not transitive.holds:
+                break
+        if not transitive.holds:
+            break
+
+    additive = Verdict.ok()
+    for x in events:
+        for y in events:
+            rest = full.difference(x.union(y))
+            for z in rest.subsets():
+                if leq(x, y) != leq(x.union(z), y.union(z)):
+                    additive = Verdict.fail((x, y, z))
+                    break
+            if not additive.holds:
+                break
+        if not additive.holds:
+            break
+
+    return PropertyReport((
+        ("nontrivial", nontrivial),
+        ("minimal-empty", minimal),
+        ("total", total_v),
+        ("transitive", transitive),
+        ("additive", additive),
+    ))
+
+
 class TestDeFinetti:
     def test_measure_order_passes(self):
         rng = random.Random(29)
@@ -571,16 +638,14 @@ class TestDeFinetti:
         assert not report["nontrivial"].holds
 
     def test_backwards_order_fails(self):
-        # reverse inclusion: full set minimal
-        leq = lambda x, y: y.bits | x.bits == x.bits or True
-        weights = [Fraction(1, 3)] * 3
-        good = measure_order(weights, 3)
-        bad = lambda x, y: good(y, x)
-        report = check_definetti(bad, 3)
-        assert not report.all_hold
+        # reverse of the uniform measure order: the full set is minimal
+        good = measure_order([Fraction(1, 3)] * 3, 3)
+        report = check_definetti(lambda x, y: good(y, x), 3)
+        assert witness_bits(report) == {
+            "nontrivial": (7, 0), "minimal-empty": (0, 1),
+            "total": None, "transitive": None, "additive": None}
 
     def test_intransitive_fails(self):
-        order = {0: 0, 1: 1, 2: 2}
         def leq(x, y):
             # rock-paper-scissors on singletons, measure order elsewhere
             if x.cardinality() == y.cardinality() == 1:
@@ -588,8 +653,9 @@ class TestDeFinetti:
                 return (b - a) % 3 == 1 or a == b
             return x.cardinality() <= y.cardinality()
         report = check_definetti(leq, 3)
-        assert not report.all_hold
-        _ = order
+        assert witness_bits(report) == {
+            "nontrivial": None, "minimal-empty": None, "total": None,
+            "transitive": (1, 2, 4), "additive": (1, 4, 2)}
 
     def test_kps_extension_certified(self):
         leq = kps_definetti_extension()
@@ -604,3 +670,53 @@ class TestDeFinetti:
             assert rel == "<"
             assert leq(ev(left), ev(right))
             assert not leq(ev(right), ev(left))
+
+    def test_oracle_called_once_per_ordered_pair(self):
+        for leq, n in ((kps_definetti_extension(), 5),
+                       (measure_order([Fraction(k, 10) for k in (1, 2, 3, 4)],
+                                      4), 4)):
+            calls = []
+
+            def counted(x, y, leq=leq):
+                calls.append((x.bits, y.bits))
+                return leq(x, y)
+
+            assert check_definetti(counted, n).all_hold
+            assert len(calls) == 4 ** n
+            assert len(set(calls)) == 4 ** n
+
+    def test_table_matches_the_nested_loops(self):
+        """The table-driven check returns the same verdicts and first
+        witnesses as asking the oracle inside every loop, on random
+        oracles, on measure orders with a few answers flipped, and on the
+        KPS extension; and each of the five conditions fails somewhere."""
+        rng = random.Random(19)
+        cases = []
+        for n in range(1, 5):
+            for _ in range(40):
+                p = rng.choice((0.5, 0.9, 0.99))
+                cases.append((n, [[rng.random() < p for _ in range(1 << n)]
+                                  for _ in range(1 << n)]))
+        for n in range(1, 6):
+            for flips in range(4):
+                for _ in range(6 if n == 5 else 20):
+                    weights = [rng.randint(0, 4) for _ in range(n)]
+                    mass = [sum(w for i, w in enumerate(weights) if b >> i & 1)
+                            for b in range(1 << n)]
+                    table = [[mx <= my for my in mass] for mx in mass]
+                    for _ in range(flips):
+                        x, y = rng.randrange(1 << n), rng.randrange(1 << n)
+                        table[x][y] = not table[x][y]
+                    cases.append((n, table))
+        kps = kps_definetti_extension()
+        cases.append((5, [[kps(EventSet(x, 5), EventSet(y, 5))
+                           for y in range(32)] for x in range(32)]))
+        failed = set()
+        for n, table in cases:
+            def leq(x, y, table=table):
+                return table[x.bits][y.bits]
+            report = check_definetti(leq, n)
+            assert report == definetti_by_loops(leq, n), (n, table)
+            failed.update(report.failures())
+        assert failed == {"nontrivial", "minimal-empty", "total",
+                          "transitive", "additive"}
