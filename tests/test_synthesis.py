@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 from fractions import Fraction
@@ -302,6 +303,11 @@ def census_systems():
             yield make_neighborhood_model(frame, [gens])
 
 
+# (count, sha256 prefix) of the distinct census systems that
+# TestWitnessFirst.test_same_verdicts_as_the_lp_alone solves
+SOLVED_DIGEST = (1316, "43b8024e33d23051")
+
+
 class TestWitnessFirst:
     def test_same_verdicts_as_the_lp_alone(self, monkeypatch):
         # the skeletons repeat cells, and a feasible cell's system is
@@ -333,6 +339,15 @@ class TestWitnessFirst:
         # every kind of witness the searches can give shows up
         assert set(decided) >= {"d", "sc", "sc1^2", "sc0^2", "sc0^3", "ws",
                                 "load"}
+        # the simplex's path on these mostly 1-5 world cells is pinned:
+        # every result, pivot count and measure included, in solve order
+        text = "\n".join(
+            f"{r.feasible} {r.slack} {r.pivots} "
+            + " ".join(f"{v}={q}" for v, q in r.assignment or ())
+            for r in solved.values())
+        assert (len(solved),
+                hashlib.sha256(text.encode()).hexdigest()[:16]) \
+            == SOLVED_DIGEST
 
     def test_no_bare_infeasible_verdict_at_two_thirds(self, monkeypatch):
         # every cell without a measure at 2/3 fails a searched condition,
