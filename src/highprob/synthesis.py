@@ -5,7 +5,8 @@ rational constraint systems with strict inequalities: every strict
 constraint shares one slack variable which the objective maximizes, so the
 system is strictly feasible exactly when the optimum slack is positive.
 The reduced costs are kept as one extra tableau row that each pivot
-updates, so no iteration recomputes them from the whole tableau.
+updates, so no iteration recomputes them from the whole tableau.  Each
+phase builds that row from the basic rows with a nonzero cost alone.
 On top of the solver sit agreeing-measure synthesis for neighborhood
 models and realizability checking for comparative-probability relations.
 
@@ -121,7 +122,7 @@ _ONE = Fraction(1)
 
 def _pivot(rows, rhs, basis, r, c):
     inv = _ONE / rows[r][c]
-    rows[r] = [a * inv for a in rows[r]]
+    rows[r] = [a * inv if a else a for a in rows[r]]
     rhs[r] *= inv
     for i in range(len(rows)):
         if i != r and rows[i][c] != 0:
@@ -136,17 +137,24 @@ def _simplex(rows, rhs, basis, objective):
     basis; returns the number of pivots.
 
     The reduced costs objective - c_B B^-1 A go below the rows as one more
-    row, with minus the objective's value on the right.  `_pivot`
-    eliminates that row like any other, so it stays current without being
-    recomputed.  Bland's rule throughout: smallest eligible entering
-    index, ties in the ratio test broken by smallest basic variable index.
-    Terminates.
+    row, with minus the objective's value on the right.  Only basic rows
+    with a nonzero cost enter them, and only through their nonzero
+    entries: every artificial's row in phase 1, at most the slack's row
+    in phase 2.  `_pivot` eliminates that row like any other, so it stays
+    current without being recomputed.  Bland's rule throughout: smallest
+    eligible entering index, ties in the ratio test broken by smallest
+    basic variable index.  Terminates.
     """
     m = len(basis)
-    rows.append([objective[j] - sum(objective[b] * row[j]
-                                    for b, row in zip(basis, rows))
-                 for j in range(len(objective))])
-    rhs.append(-sum(objective[b] * v for b, v in zip(basis, rhs)))
+    costs, value = list(objective), _ZERO
+    for b, row, v in zip(basis, rows, rhs):
+        if objective[b]:
+            for j, a in enumerate(row):
+                if a:
+                    costs[j] -= objective[b] * a
+            value -= objective[b] * v
+    rows.append(costs)
+    rhs.append(value)
     pivots = 0
     while True:
         enter = next((j for j, d in enumerate(rows[m]) if d > 0), None)
