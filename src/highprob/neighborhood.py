@@ -490,7 +490,11 @@ def _failures(model: NeighborhoodModel, cell_index: int, names,
 def _report(model: NeighborhoodModel, names, c: Threshold, m_max: int,
             cell_budget: int) -> PropertyReport:
     """Each named condition with the first cell's witness that fails it;
-    a condition already failed is not searched in later cells."""
+    a condition already failed is not searched in later cells.  A bound
+    m_max below 1 would search no list and pass every condition, so it is
+    refused."""
+    if m_max < 1:
+        raise ValueError(f"m_max must be at least 1, not {m_max}")
     verdicts = dict.fromkeys(names, Verdict.ok())
     for ci in range(len(model.frame.partition)):
         open_names = [name for name in names if verdicts[name].holds]

@@ -387,6 +387,17 @@ class TestErrorContract:
             err = self.assert_error(capsys, *flags, "1e1000000")
             assert "'1e1000000'" in err
 
+    def test_m_max_below_one(self, capsys):
+        # Walley-Fine fails scott at m = 2 and ws at 2/3: a bound that
+        # searches no list must not report that they hold
+        for flags in (["--mid-threshold"], ["--conjectured", "2/3"]):
+            for m_max in ("0", "-1"):
+                err = self.assert_error(capsys, "check-model", "--model",
+                                        "walley-fine", *flags,
+                                        "--m-max", m_max)
+                assert err == f"error: m_max must be at least 1, " \
+                              f"not {m_max}\n"
+
     def test_weight_in_exponent_notation(self, capsys, tmp_path):
         err = self.assert_bad_model(capsys, tmp_path, dict(
             PROB_DOC, weights={"w1": "1e2000000", "w2": "1"}))
