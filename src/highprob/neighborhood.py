@@ -17,6 +17,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from math import ceil, floor
 
 from .core import (
@@ -316,20 +317,25 @@ def _event_sets(masks, universe_size: int) -> tuple[EventSet, ...]:
 
 
 # ---------------------------------------------------------------------------
-# The cell conditions, each searched and replayed in one place
+# The cell conditions, each searched in one place; each witness is read
+# as one counting certificate (alpha, beta, gamma, r) for _certifies
 #
-#   d       consistency: no X with X and cell - X both believed
-#   sc      strong commitment: X < Y with cell - X and Y both unbelieved
+#   d       consistency: X and cell - X both believed; read as load
+#   sc      strong commitment: X < Y with cell - X and Y both unbelieved;
+#           read as sc0^1
 #   scott   counting transfer: X's with X_1 believed and every later
 #           cell - X unbelieved, Y's unbelieved, and every world in at
-#           least as many Y's as X's
-#   ws      the weak counting condition: as scott with every X believed
+#           least as many Y's as X's; (X_1, the Y's and each later
+#           cell - X, none, 1 - m)
+#   ws      weak counting: as scott with every X believed; (the X's, the
+#           Y's, none, 0)
 #   sc0^s   s pairwise disjoint X's with cell - X unbelieved, and an
-#           unbelieved proper superset Y of their union
-#   sc1^s   as sc0^s with their union itself the unbelieved Y
-#   load    k believed sets, repeats allowed, with no world of the cell
-#           in more than floor(k*c) of them; k = 2 above 1/2 is d, and
-#           k runs up to the denominator of c, at most LOAD_K_MAX
+#           unbelieved proper superset Y of their union; (none, each
+#           cell - X and Y, the lowest world of Y - union, -s)
+#   sc1^s   as sc0^s with their union itself the unbelieved Y; no gamma
+#   load    k believed sets, repeats allowed, no world of the cell in more
+#           than floor(k*c) of them, k up to the denominator of c and
+#           LOAD_K_MAX; (the k sets, none, none, floor(k*c))
 #
 # A violation of d or sc is a CellSetWitness listing X and Y, of sc0^s
 # the X's then Y, of sc1^s the X's, and of load the k sets; of scott or
@@ -431,48 +437,45 @@ def _search(name: str, model: NeighborhoodModel, cell_index: int,
         cell_index, _event_sets(found, n))
 
 
+def _certifies(cell: int, gens: tuple[int, ...], alpha: tuple[int, ...],
+               beta: tuple[int, ...], gamma: tuple[int, ...], r: int,
+               c: Fraction) -> bool:
+    """Believed sets alpha, unbelieved sets beta and worlds gamma in the
+    cell, with each world in at most r more of alpha and gamma than of
+    beta, prove that no measure agrees with the cell's system at c: it
+    would give A*c <= P(alpha) + P(gamma) <= B*c + r (A, B the lengths),
+    strictly on the left unless alpha and gamma are empty."""
+    slack = (len(alpha) - len(beta)) * c - r
+    return (all(gamma) and all(x & ~cell == 0 for x in alpha + beta + gamma)
+            and all(_believed(gens, x) for x in alpha)
+            and not any(_believed(gens, y) for y in beta)
+            and all(sum(x >> v & 1 for x in alpha + gamma)
+                    <= sum(y >> v & 1 for y in beta) + r
+                    for v in _members(cell))
+            and (slack > 0 or slack == 0 and len(alpha + gamma) > 0))
+
+
 def _replays(name: str, cell: int, gens: tuple[int, ...], witness,
-             c: Threshold) -> bool:
-    """The witness's sets fail condition name at c inside the cell."""
+             c: Fraction) -> bool:
+    """The witness of condition name, read as a counting certificate,
+    replays at c; cell ^ X is cell - X, or leaves the cell with X."""
     if name in _COUNTING:
-        xs = tuple(x.bits for x in witness.xs)
-        ys = tuple(y.bits for y in witness.ys)
-        return (len(xs) == len(ys) > 0
-                and not any(x & ~cell for x in xs + ys)
-                and all(sum(x >> v & 1 for x in xs)
-                        <= sum(y >> v & 1 for y in ys)
-                        for v in _members(cell))
-                and _believed(gens, xs[0])
-                and all(_believed(gens, x) if name == "ws"
-                        else not _believed(gens, cell & ~x) for x in xs[1:])
-                and not any(_believed(gens, y) for y in ys))
+        xs, ys = (tuple(x.bits for x in w) for w in (witness.xs, witness.ys))
+        return len(xs) == len(ys) > 0 and (
+            _certifies(cell, gens, xs, ys, (), 0, c) if name == "ws"
+            else _certifies(cell, gens, xs[:1], ys + tuple(
+                cell ^ x for x in xs[1:]), (), 1 - len(xs), c))
     sets = tuple(x.bits for x in witness.sets)
-    if any(x & ~cell for x in sets):
-        return False
-    if name == "d":
-        return (len(sets) == 2 and sets[0] & sets[1] == 0
-                and all(_believed(gens, x) for x in sets))
-    if name == "load":
-        r = floor(len(sets) * c.value)
-        return (len(sets) > 0 and all(_believed(gens, x) for x in sets)
-                and all(sum(x >> v & 1 for x in sets) <= r
-                        for v in _members(cell)))
-    if name == "sc":
-        if len(sets) != 2:
-            return False
-        x, y = sets
-        return (x & ~y == 0 and x != y and not _believed(gens, y)
-                and not _believed(gens, cell & ~x))
-    s, exact = int(name[4:]), name.startswith("sc0")
-    xs = sets[:s]
-    union = _disjoint_union(xs)
-    if len(sets) != s + exact or union is None \
-            or any(_believed(gens, cell & ~x) for x in xs):
-        return False
-    # sc0^s names a proper superset Y of the union; for sc1^s, Y is it
-    y = sets[s] if exact else union
-    return union & ~y == 0 and (union != y) == exact \
-        and not _believed(gens, y)
+    if name in ("d", "load"):
+        return (name == "load" or len(sets) == 2) and _certifies(
+            cell, gens, sets, (), (), floor(len(sets) * c), c)
+    s, exact = int(name[4:] or 1), not name.startswith("sc1")
+    union = reduce(int.__or__, sets[:s], 0)
+    y = sets[s] if len(sets) > s else union
+    extra = y & ~union
+    return len(sets) == s + exact and _certifies(
+        cell, gens, (), tuple(cell ^ x for x in sets[:s]) + (y,),
+        (extra & -extra,) if extra else (), -s, c)
 
 
 def _failures(model: NeighborhoodModel, cell_index: int, names,
@@ -525,9 +528,8 @@ def verify_scott_witness(model: NeighborhoodModel, cell_index: int,
     condition holds, X_1 is a neighborhood, every later X has a
     non-neighborhood cell-complement, and no Y is a neighborhood.
     """
-    return _replays("scott", *_masks(model, cell_index),
-                    ScottWitness(cell_index, tuple(xs), tuple(ys)),
-                    Threshold(HALF))
+    return replay_witness(model, Threshold(HALF), "scott",
+                          ScottWitness(cell_index, tuple(xs), tuple(ys)))
 
 
 def threshold_step(c: Threshold) -> tuple[Fraction, int]:
@@ -590,7 +592,7 @@ def replay_witness(model: NeighborhoodModel, c: Threshold, condition: str,
     return (condition in _necessary(c) and isinstance(witness, kind)
             and 0 <= witness.cell_index < len(model.frame.partition)
             and _replays(condition, *_masks(model, witness.cell_index),
-                         witness, c))
+                         witness, c.value))
 
 
 # ---------------------------------------------------------------------------

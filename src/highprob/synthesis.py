@@ -93,15 +93,6 @@ class LinearConstraint:
         return lhs == self.bound
 
 
-def dump_constraints(constraints: Iterable[LinearConstraint]) -> str:
-    """One constraint per line: `coeff*var ... rel bound`, rationals as p/q."""
-    lines = []
-    for con in constraints:
-        parts = [f"{q}*{v}" for v, q in con.coefficients]
-        lines.append(f"{' '.join(parts) or '0'} {con.relation} {con.bound}")
-    return "\n".join(lines)
-
-
 @dataclass(frozen=True)
 class LPResult:
     feasible: bool

@@ -27,6 +27,7 @@ from highprob.neighborhood import (
     LOAD_K_MAX,
     CellSetWitness,
     ScottWitness,
+    _certifies,
     check_agreement,
     check_base_properties,
     check_conjectured,
@@ -248,11 +249,67 @@ class TestScottWitnessReplay:
         # first X not believed
         assert not verify_scott_witness(model, 0, ys, xs)
 
+    def test_cell_index_outside_the_partition_rejected(self):
+        xs, ys = walley_fine_witness()
+        model = walley_fine_model()
+        # -1 must not wrap round to the one cell, nor 1 raise IndexError
+        assert not verify_scott_witness(model, -1, xs, ys)
+        assert not verify_scott_witness(model, 1, xs, ys)
+
     def test_stored_m2_witness_is_the_searchs_first(self):
         report = check_mid_threshold(walley_fine_model(), m_max=2,
                                      cell_budget=7)
         assert report["scott"].witness \
             == ScottWitness(0, *walley_fine_scott2_witness())
+
+
+def masks(*sets):
+    return tuple(sum(1 << v for v in s) for s in sets)
+
+
+class TestCountingCertificate:
+    """The checker every witness replays through, on certificates
+    (alpha, beta, gamma, r) written out by hand."""
+
+    def test_scott_and_sc_certificates_hold_up_to_one_half(self):
+        wf = walley_fine_model()
+        wf_cell = wf.frame.partition[0].bits
+        # the m = 2 scott lists: alpha = X_1, beta = the Y's and cell - X_2
+        (x1, x2), ys = ([e.bits for e in w]
+                        for w in walley_fine_scott2_witness())
+        scott = ((x1,), (*ys, wf_cell ^ x2), (), -1)
+        # the 3-world sc witness X = {0} < Y = {0, 2} under the generator
+        # {0, 1}: beta = cell - X and Y, gamma = the world 2 of Y - X
+        sc = ((), masks((1, 2), (0, 2)), masks((2,)), -1)
+        for cell, gens, cert, above in (
+                (wf_cell, tuple(g.bits for g in wf.generators[0]), scott,
+                 ("3/5", "2/3")),
+                (0b111, masks((0, 1)), sc, ("3/5",))):
+            assert _certifies(cell, gens, *cert, Fraction(1, 2))
+            for text in above:
+                assert not _certifies(cell, gens, *cert, Fraction(text))
+
+    def test_bare_cells_at_three_fifths_have_certificates(self):
+        # the two census cells that synthesis leaves bare at 3/5, with
+        # certificates from the LP's dual: A*c = B*c + r and A > 0
+        five = (0b11111, masks((0, 3, 4), (1, 3, 4), (2, 3, 4), (0, 1, 2, 3)),
+                masks((0, 3, 4)),
+                masks((3, 4), (3, 4), (0, 1, 3), (0, 2, 3), (0, 1, 2, 4),
+                      (0, 1, 2, 4)), (), -3)
+        six = (0b111111,
+               masks((0, 1, 5), (0, 1, 2, 4), (1, 2, 3, 5), (1, 2, 4, 5),
+                     (1, 3, 4, 5), (0, 2, 3, 4, 5)),
+               masks((0, 1, 5), (1, 2, 3, 5)),
+               masks(*[(1, 4, 5)] * 3, *[(0, 1, 2, 3)] * 2,
+                     *[(0, 2, 3, 5)] * 2), (), -3)
+        c = Fraction(3, 5)
+        for cell, gens, alpha, beta, gamma, r in (five, six):
+            assert _certifies(cell, gens, alpha, beta, gamma, r, c)
+            assert not _certifies(cell, gens, alpha, beta, gamma, r + 1, c)
+            # every world's count is tight, so no beta can be dropped
+            for k in range(len(beta)):
+                assert not _certifies(cell, gens, alpha,
+                                      beta[:k] + beta[k + 1:], gamma, r, c)
 
 
 class TestConjectured:

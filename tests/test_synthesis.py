@@ -36,7 +36,6 @@ from highprob.synthesis import (
     ComparativeRelation,
     LinearConstraint,
     check_definetti,
-    dump_constraints,
     lp_feasible,
     measure_order,
     realize_comparative,
@@ -119,11 +118,6 @@ class TestLinearConstraint:
         con = LinearConstraint({"x": 1, "y": 1}, ">", 1)
         assert con.satisfied_by({"x": 1, "y": Fraction(1, 100)})
         assert not con.satisfied_by({"x": 1, "y": 0})
-
-    def test_dump(self):
-        out = dump_constraints([
-            LinearConstraint({"x": Fraction(1, 2)}, ">=", Fraction(1, 3))])
-        assert "1/2" in out and ">=" in out and "1/3" in out
 
 
 class TestLP:
