@@ -285,6 +285,9 @@ class NeighborhoodModel:
     # neighborhood.cell_families
     _families: dict = field(default_factory=dict, init=False, repr=False,
                             compare=False)
+    # each cell condition's search result, filled by neighborhood._failures
+    _witnesses: dict = field(default_factory=dict, init=False, repr=False,
+                             compare=False)
 
     def cell_generators(self, cell_index: int) -> tuple[EventSet, ...]:
         return self.generators[cell_index]

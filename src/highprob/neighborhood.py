@@ -359,9 +359,10 @@ def _necessary(c: Threshold) -> tuple[str, ...]:
     it, at most floor(k*c).  It comes last, so it only decides cells
     that the others leave open.  Nothing below 1/2.
     """
-    if c.value == HALF:
+    p, q = c.value.numerator, c.value.denominator
+    if 2 * p == q:
         return ("d", "sc", "scott")
-    if c.value > HALF:
+    if 2 * p > q:
         return ("d", _active_scheme(c), "ws", "load")
     return ()
 
@@ -481,13 +482,22 @@ def _replays(name: str, cell: int, gens: tuple[int, ...], witness,
 def _failures(model: NeighborhoodModel, cell_index: int, names,
               c: Threshold, m_max: int, cell_budget: int):
     """(name, witness) for each of the named conditions the cell fails at
-    c, searched lazily in order."""
+    c, searched lazily in order.
+
+    Each search's result, witness or None, is kept in the model's table
+    under (cell, condition, c, m_max, cell_budget), so synthesis and the
+    property reports search each cell condition of a model once.  A
+    search that raises, such as on a cell over cell_budget, keeps
+    nothing and raises again when asked again."""
+    table = model._witnesses
     cell, gens = _masks(model, cell_index)
     for name in names:
-        witness = _search(name, model, cell_index, cell, gens, c, m_max,
-                          cell_budget)
-        if witness is not None:
-            yield name, witness
+        key = (cell_index, name, c.value, m_max, cell_budget)
+        if key not in table:
+            table[key] = _search(name, model, cell_index, cell, gens, c,
+                                 m_max, cell_budget)
+        if table[key] is not None:
+            yield name, table[key]
 
 
 def _report(model: NeighborhoodModel, names, c: Threshold, m_max: int,
@@ -540,9 +550,11 @@ def threshold_step(c: Threshold) -> tuple[Fraction, int]:
 
 def _active_scheme(c: Threshold) -> str:
     """The disjoint-union scheme in force at c: sc0^s when s = s', the
-    1-indexed sc1^s otherwise."""
-    s_prime, s = threshold_step(c)
-    return f"sc0^{s}" if s_prime == s else f"sc1^{s}"
+    1-indexed sc1^s otherwise.  With c = p/q, s' = p/(q - p), so s and
+    whether s = s' come from one integer division."""
+    p, q = c.value.numerator, c.value.denominator
+    s, rest = divmod(p, q - p)
+    return f"sc0^{s}" if rest == 0 else f"sc1^{s + 1}"
 
 
 def check_conjectured(model: NeighborhoodModel, c: Threshold,

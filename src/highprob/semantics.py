@@ -296,10 +296,18 @@ def enumerate_neighborhood_models(max_worlds: int, atoms,
                     yield NeighborhoodModel(frame, gen_choice)
 
 
+def _at_least_one(name: str, bound: int) -> None:
+    """Refuse a search bound below 1: it would search nothing and report
+    that no countermodel exists."""
+    if bound < 1:
+        raise ValueError(f"{name} must be at least 1, not {bound}")
+
+
 def find_nbhd_countermodel(formula: Formula, max_worlds: int,
                            require_mid_threshold: bool = False
                            ) -> CountermodelResult:
     """First falsifying pointed neighborhood model in enumeration order."""
+    _at_least_one("max_worlds", max_worlds)
     if max_worlds > MAX_ENUM_WORLDS:
         raise BoundTooLarge(
             f"enumeration supports at most {MAX_ENUM_WORLDS} worlds")
@@ -367,6 +375,8 @@ def sample_prob_countermodel(formula: Formula, c: Threshold, trials: int,
                              max_worlds: int, seed: int
                              ) -> CountermodelResult:
     """Seeded random falsification search for the probability semantics."""
+    _at_least_one("trials", trials)
+    _at_least_one("max_worlds", max_worlds)
     rng = random.Random(seed)
     atoms = sorted(atoms_of(formula))
     for _ in range(trials):

@@ -23,6 +23,14 @@ worlds, Walley and Fine's among them.  A witness is replayed without
 search and returned on the result in place of a bare infeasible
 verdict, with the failed cell the LP would report; the CLI prints it as
 one ``witness:`` line.  Only cells without a witness reach the simplex.
+
+Two shortcuts spare that work.  A one-world cell whose only generator
+is the cell itself gets the point mass, the only full-support measure
+on one world and so the LP's only feasible point, before any search.
+And each search's result is kept on the model, keyed by cell,
+condition, c and the search bounds, so synthesizing at 1/2 and then
+checking the mid-threshold conditions, or synthesizing at 2/3 and then
+checking the conjectured ones, searches each cell condition once.
 """
 
 from __future__ import annotations
@@ -313,16 +321,24 @@ def synthesize_measure(model: NeighborhoodModel, c: Threshold
 
     Cells are independent, so each is solved separately and the global
     measure weights the cells uniformly; conditional probabilities, and
-    hence agreement, do not depend on the cell weighting.  Each cell
-    first goes through the bounded property searches for a condition
-    that an agreeing measure must satisfy; a failure is replayed and
-    reported as the cell's proof of infeasibility, and only cells
-    without one reach the LP.
+    hence agreement, do not depend on the cell weighting.  A one-world
+    cell whose only generator is the cell itself takes the point mass,
+    the only full-support measure on it, with no search or LP.  Every
+    other cell first goes through the bounded property searches for a
+    condition that an agreeing measure must satisfy; a failure is
+    replayed and reported as the cell's proof of infeasibility, and only
+    cells without one reach the LP.  The searches' results are kept on
+    the model, so a later call, or a property report on the same model,
+    does not search again.
     """
     frame = model.frame
     k = len(frame.partition)
     weights: dict[str, Fraction] = {}
     for ci, cell in enumerate(frame.partition):
+        if len(cell) == 1 and model.generators[ci] == (cell,):
+            # the point mass, the LP's only feasible point
+            weights[frame.worlds[cell.indices()[0]]] = _ONE / k
+            continue
         found = infeasibility_witness(model, ci, c)
         if found is not None:
             condition, witness = found

@@ -398,6 +398,23 @@ class TestErrorContract:
                 assert err == f"error: m_max must be at least 1, " \
                               f"not {m_max}\n"
 
+    def test_countermodel_bounds_below_one(self, capsys):
+        # p fails at one world: a bound that searches no model must not
+        # report that there is none
+        for flags, name, bound in (
+                (["--max-worlds", "0"], "max_worlds", "0"),
+                (["--mid-threshold", "--max-worlds", "-2"], "max_worlds",
+                 "-2"),
+                (["--prob", "--trials", "0"], "trials", "0"),
+                (["--prob", "--trials", "-3"], "trials", "-3"),
+                (["--prob", "--max-worlds", "0"], "max_worlds", "0")):
+            err = self.assert_error(capsys, "countermodel", "--formula",
+                                    "p", *flags)
+            assert err == f"error: {name} must be at least 1, not {bound}\n"
+        code, out, _ = run(capsys, "countermodel", "--formula", "p",
+                           "--max-worlds", "1")
+        assert code == 0 and out.startswith("false at w1")
+
     def test_weight_in_exponent_notation(self, capsys, tmp_path):
         err = self.assert_bad_model(capsys, tmp_path, dict(
             PROB_DOC, weights={"w1": "1e2000000", "w2": "1"}))

@@ -6,6 +6,7 @@ from math import floor
 
 import pytest
 
+from highprob import neighborhood, synthesis
 from highprob.core import (
     EventSet,
     Frame,
@@ -43,6 +44,7 @@ from highprob.semantics import (
     enumerate_neighborhood_models,
     sample_probability_model,
 )
+from highprob.synthesis import lp_feasible, synthesize_measure
 
 HALF = Threshold(Fraction(1, 2))
 
@@ -423,6 +425,88 @@ class TestGoldenReports:
                .hexdigest()[:16]
                for section, texts in golden_reports().items()}
         assert got == GOLDEN_REPORTS
+
+
+TWO_THIRDS = Threshold(Fraction(2, 3))
+# the four questions a census item asks of one model
+QUESTIONS = (
+    lambda m: synthesize_measure(m, HALF),
+    check_mid_threshold,
+    lambda m: synthesize_measure(m, TWO_THIRDS),
+    lambda m: check_conjectured(m, TWO_THIRDS),
+)
+
+
+def fresh(model):
+    """The same system on a new object, whose search table is empty."""
+    return NeighborhoodModel(model.frame, model.generators)
+
+
+def counting_searches(monkeypatch):
+    calls = []
+
+    def search(*args):
+        calls.append(args[0])
+        return real(*args)
+
+    real = neighborhood._search
+    monkeypatch.setattr(neighborhood, "_search", search)
+    return calls
+
+
+class TestSearchTable:
+    def test_answers_do_not_depend_on_what_was_asked_before(self,
+                                                            monkeypatch):
+        # each distinct cell LP is solved once; the searches are under test
+        solved = {}
+
+        def solve(constraints, positivity=()):
+            key = (tuple(constraints), tuple(positivity))
+            if key not in solved:
+                solved[key] = lp_feasible(constraints, positivity)
+            return solved[key]
+
+        monkeypatch.setattr(synthesis, "lp_feasible", solve)
+        calls = counting_searches(monkeypatch)
+        for model in golden_models():
+            alone = [repr(ask(fresh(model))) for ask in QUESTIONS]
+            forward, backward = fresh(model), fresh(model)
+            assert [repr(ask(forward)) for ask in QUESTIONS] == alone
+            assert [repr(ask(backward))
+                    for ask in reversed(QUESTIONS)] == alone[::-1]
+            # asked again, every cell condition is already in the table
+            calls.clear()
+            assert [repr(ask(forward)) for ask in QUESTIONS] == alone
+            assert calls == []
+
+    def test_thresholds_and_bounds_never_share_an_entry(self,
+                                                        monkeypatch):
+        calls = counting_searches(monkeypatch)
+        asks = [lambda m, b=b: check_mid_threshold(m, *b)
+                for b in ((3, 7), (2, 7), (1, 5), (3, 5), (2, 5))]
+        asks += [lambda m, c=Threshold(Fraction(c)): [
+            infeasibility_witness(m, ci, c)
+            for ci in range(len(m.frame.partition))]
+            for c in ("3/5", "2/3", "3/4", "4/5")]
+        for model in golden_models():
+            if model.frame.size > 5:
+                continue
+            shared = fresh(model)
+            for ask in asks:
+                calls.clear()
+                alone = ask(fresh(model))
+                searched = list(calls)
+                calls.clear()
+                assert ask(shared) == alone
+                assert calls == searched
+
+    def test_a_cell_over_the_budget_raises_every_time(self):
+        six = [m for m in golden_models() if m.frame.size == 6]
+        assert six
+        for model in six:
+            for _ in range(3):
+                with pytest.raises(CellTooLargeForBruteForce):
+                    check_mid_threshold(model, cell_budget=5)
 
 
 class TestDerivationAndAgreement:

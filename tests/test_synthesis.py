@@ -9,6 +9,7 @@ from highprob import synthesis
 from highprob.core import (
     EventSet,
     Frame,
+    NeighborhoodModel,
     make_neighborhood_model,
     make_probability_model,
 )
@@ -544,6 +545,54 @@ class TestWitnessFirst:
                                           res.witness)
                     witnesses += 1
         assert witnesses > 0
+
+
+class TestOneWorldCells:
+    FRAME = Frame(("a", "b", "c", "d"), (("a", "b"), ("c",), ("d",)), {})
+    THRESHOLDS = [Threshold(Fraction(t)) for t in ("1/3", "1/2", "2/3")]
+
+    def model(self):
+        return make_neighborhood_model(
+            self.FRAME, [[self.FRAME.event(w)] for w in "acd"])
+
+    def test_only_the_two_world_cell_reaches_the_lp(self, monkeypatch):
+        calls = []
+
+        def recording(constraints, positivity=()):
+            calls.append(tuple(positivity))
+            return lp_feasible(constraints, positivity)
+
+        monkeypatch.setattr(synthesis, "lp_feasible", recording)
+        for c in self.THRESHOLDS:
+            calls.clear()
+            assert synthesize_measure(self.model(), c).feasible
+            assert calls == [("p_a", "p_b")]
+
+    def test_point_masses_equal_the_lps_measure(self):
+        model = self.model()
+        for c in self.THRESHOLDS:
+            expected = {}
+            for ci, cell in enumerate(self.FRAME.partition):
+                local = lp_feasible(*synthesis.agreement_constraints(
+                    model, ci, c)).as_dict()
+                for w in self.FRAME.names(cell):
+                    expected[w] = local[f"p_{w}"] / 3
+            res = synthesize_measure(model, c)
+            assert res.model.weight_map() == expected
+            assert check_agreement(model, res.model, c).holds
+
+    def test_an_empty_generator_still_fails(self):
+        # the raw type takes any generator list; only (cell,) is the
+        # point mass's system, so an empty generator keeps the searches
+        # and fails d: it and its own complement, both believed
+        f = self.FRAME
+        model = NeighborhoodModel(f, ((f.event("a"),), (EventSet.empty(4),),
+                                      (f.event("d"),)))
+        res = synthesize_measure(model, HALF)
+        assert not res.feasible and res.condition == "d"
+        assert res.failed_cell == 1
+        assert lp_only(model, HALF) == (False, res.failed_cell)
+        assert replay_witness(model, HALF, "d", res.witness)
 
 
 class TestComparative:
