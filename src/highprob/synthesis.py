@@ -31,6 +31,16 @@ And each search's result is kept on the model, keyed by cell,
 condition, c and the search bounds, so synthesizing at 1/2 and then
 checking the mid-threshold conditions, or synthesizing at 2/3 and then
 checking the conjectured ones, searches each cell condition once.
+
+At c >= 1/2 the cell's LP also leaves out the cap P(X) <= c on a
+maximal non-neighborhood X whenever some generator G lies in the cell
+outside X.  The paper's scheme D, B phi -> ~B~phi, holds for measures
+there: G's row and the sum to one give P(X) <= 1 - P(G) < 1 - c <= c,
+so the cap is implied, a redundant row in the sense of LP presolve.
+Dropping it saves the simplex a row and often pivots.  Below 1/2
+nothing is left out.  A feasible cell's measure is still checked
+against every cap: ``lp_feasible`` re-verifies the rows it saw, and
+``synthesize_measure`` the caps it left out.
 """
 
 from __future__ import annotations
@@ -297,7 +307,11 @@ def agreement_constraints(model: NeighborhoodModel, cell_index: int,
     The non-strict caps are exactly what forces non-neighborhoods below
     the threshold: every non-neighborhood lies under a maximal one, and
     every neighborhood contains a minimal generator, so the two antichains
-    carry the whole biconditional.
+    carry the whole biconditional.  At c >= 1/2 the cap on a maximal
+    non-neighborhood X that some generator G misses is left out: the
+    paper's scheme D holds for measures there, and G's row with the sum
+    to one already gives P(X) <= 1 - P(G) < 1 - c <= c.  Below 1/2 every
+    cap is kept.
     """
     frame = model.frame
     cell = frame.partition[cell_index]
@@ -306,12 +320,25 @@ def agreement_constraints(model: NeighborhoodModel, cell_index: int,
     for g in model.generators[cell_index]:
         cons.append(LinearConstraint(
             {names[v]: 1 for v in g.indices()}, ">", c.value))
+    implied = _implied_caps(model, cell_index, c)
     for x in cell_families(model, cell_index)[0]:
-        if x:
+        if x and x not in implied:
             cons.append(LinearConstraint(
                 {nm: 1 for v, nm in names.items() if x >> v & 1},
                 "<=", c.value))
     return cons, list(names.values())
+
+
+def _implied_caps(model: NeighborhoodModel, cell_index: int, c: Threshold
+                  ) -> tuple[int, ...]:
+    """The maximal non-neighborhoods, as bitmasks, whose caps
+    ``agreement_constraints`` leaves out: at c >= 1/2 the nonempty ones
+    that some generator misses, below 1/2 none."""
+    if 2 * c.value < 1:
+        return ()
+    gens = [g.bits for g in model.generators[cell_index]]
+    return tuple(x for x in cell_families(model, cell_index)[0]
+                 if x and any(g & x == 0 for g in gens))
 
 
 def synthesize_measure(model: NeighborhoodModel, c: Threshold
@@ -352,8 +379,14 @@ def synthesize_measure(model: NeighborhoodModel, c: Threshold
         if not result.feasible:
             return SynthesisResult(False, failed_cell=ci)
         local = result.as_dict()
-        for v in cell.indices():
-            weights[frame.worlds[v]] = local[f"p_{frame.worlds[v]}"] / k
+        p = {v: local[f"p_{frame.worlds[v]}"] for v in cell.indices()}
+        # lp_feasible re-verified the caps it saw; check the left-out ones
+        for x in _implied_caps(model, ci, c):
+            if sum(q for v, q in p.items() if x >> v & 1) > c.value:
+                raise RuntimeError(f"solver returned a measure above the "
+                                   f"implied cap on {x:#b} in cell {ci}")
+        for v, q in p.items():
+            weights[frame.worlds[v]] = q / k
     return SynthesisResult(
         True, make_probability_model(frame, weights))
 
