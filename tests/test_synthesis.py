@@ -27,6 +27,7 @@ from highprob.neighborhood import (
     Verdict,
     check_agreement,
     derive_neighborhoods,
+    maximal_nonneighborhoods,
     replay_witness,
 )
 from highprob.semantics import (
@@ -593,6 +594,72 @@ class TestOneWorldCells:
         assert res.failed_cell == 1
         assert lp_only(model, HALF) == (False, res.failed_cell)
         assert replay_witness(model, HALF, "d", res.witness)
+
+
+def every_cap_system(model, ci, c):
+    """The cell's agreement LP with a cap on every nonempty maximal
+    non-neighborhood, the reference for the caps the solver leaves out."""
+    frame = model.frame
+    cell = frame.partition[ci]
+    names = {v: f"p_{frame.worlds[v]}" for v in cell.indices()}
+    cons = [LinearConstraint({nm: 1 for nm in names.values()}, "=", 1)]
+    for g in model.generators[ci]:
+        cons.append(LinearConstraint(
+            {names[v]: 1 for v in g.indices()}, ">", c.value))
+    for x in maximal_nonneighborhoods(cell, model.generators[ci]):
+        if x:
+            cons.append(LinearConstraint(
+                {names[v]: 1 for v in x.indices()}, "<=", c.value))
+    return cons, list(names.values())
+
+
+class TestImpliedCaps:
+    def test_reduced_systems_match_every_cap(self):
+        checked = {}
+        for model in census_systems():
+            for ci in range(len(model.frame.partition)):
+                for text in ("1/3", "1/2", "3/5", "2/3", "3/4"):
+                    c = Threshold(Fraction(text))
+                    full, names = every_cap_system(model, ci, c)
+                    cons, variables = synthesis.agreement_constraints(
+                        model, ci, c)
+                    key = (tuple(full), tuple(names))
+                    if key in checked:
+                        continue
+                    assert variables == names
+                    # only caps are left out, and none below 1/2
+                    assert [con for con in full if con in cons] == cons
+                    assert all(con.relation == ">=" for con in full
+                               if con not in cons)
+                    if c.value < Fraction(1, 2):
+                        assert cons == full
+                    checked[key] = len(full) - len(cons)
+                    if cons == full:
+                        continue
+                    reduced = lp_feasible(cons, positivity=variables)
+                    if reduced.feasible:
+                        # a point of the full system, so it is feasible too
+                        measure = reduced.as_dict()
+                        assert all(con.satisfied_by(measure)
+                                   for con in full)
+                    else:
+                        assert not lp_feasible(full, names).feasible
+        dropped = [d for d in checked.values() if d]
+        assert len(dropped) > 300 and sum(dropped) > 1000
+
+    def test_a_measure_above_a_left_out_cap_is_refused(self, monkeypatch):
+        # at 1/2 the cap on {b, c} follows from {a}'s row and is left
+        # out of the LP; a broken solver's measure above it is refused
+        frame = Frame(("a", "b", "c"), (("a", "b", "c"),), {})
+        model = make_neighborhood_model(frame, [[frame.event("a")]])
+        cons, _ = synthesis.agreement_constraints(model, 0, HALF)
+        assert len(cons) == 2
+        third = Fraction(1, 3)
+        monkeypatch.setattr(synthesis, "lp_feasible", lambda *a, **k: (
+            synthesis.LPResult(True, (("p_a", third), ("p_b", third),
+                                      ("p_c", third)), third)))
+        with pytest.raises(RuntimeError, match="implied cap"):
+            synthesize_measure(model, HALF)
 
 
 class TestComparative:
