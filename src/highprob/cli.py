@@ -104,6 +104,9 @@ def model_from_dict(doc: dict):
     valuation = {
         w: frozenset(_strings(atoms, f"the valuation of {w!r}"))
         for w, atoms in _json(doc["valuation"], dict, "'valuation'").items()}
+    # Frame would drop an unknown world's atoms; an empty list says nothing
+    _world_names([w for w, atoms in valuation.items() if atoms], worlds,
+                 "the valuation")
     frame = Frame(worlds, partition, valuation)
     if kind == "probability":
         weights = {w: _weight(q, w) for w, q

@@ -373,6 +373,12 @@ class TestErrorContract:
             weights={"w1": True}))
         assert "'w1'" in err
 
+    def test_valuation_names_unknown_world(self, capsys, tmp_path):
+        # its atoms were once dropped and eval answered without an error
+        err = self.assert_bad_model(capsys, tmp_path, dict(
+            PROB_DOC, valuation={"w1": ["p"], "w3": ["p"]}))
+        assert err == "error: the valuation names unknown world 'w3'\n"
+
     def test_partition_names_unknown_world(self, capsys, tmp_path):
         err = self.assert_bad_model(capsys, tmp_path, dict(
             PROB_DOC, partition=[["w1", "w9"]]))
