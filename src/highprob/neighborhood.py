@@ -18,7 +18,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from math import ceil, floor
+from math import floor
 
 from .core import (
     EventSet,
@@ -540,12 +540,6 @@ def verify_scott_witness(model: NeighborhoodModel, cell_index: int,
     """
     return replay_witness(model, Threshold(HALF), "scott",
                           ScottWitness(cell_index, tuple(xs), tuple(ys)))
-
-
-def threshold_step(c: Threshold) -> tuple[Fraction, int]:
-    """(s', s) with s' = c/(1-c) and s its ceiling."""
-    s_prime = c.value / (1 - c.value)
-    return s_prime, ceil(s_prime)
 
 
 def _active_scheme(c: Threshold) -> str:

@@ -37,7 +37,6 @@ from highprob.neighborhood import (
     infeasibility_witness,
     maximal_nonneighborhoods,
     minimal_dual_believed,
-    threshold_step,
     verify_scott_witness,
 )
 from highprob.semantics import (
@@ -315,12 +314,6 @@ class TestCountingCertificate:
 
 
 class TestConjectured:
-    def test_threshold_step(self):
-        assert threshold_step(HALF) == (Fraction(1), 1)
-        assert threshold_step(Threshold(Fraction(2, 3))) == (Fraction(2), 2)
-        assert threshold_step(Threshold(Fraction(3, 5))) \
-            == (Fraction(3, 2), 2)
-
     def test_key_depends_on_arithmetic(self):
         m = derive_neighborhoods(horses_uniform(), HALF)
         assert set(check_conjectured(m, HALF).names()) == {"sc0^1", "ws"}
