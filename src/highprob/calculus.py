@@ -92,7 +92,8 @@ def match_template(template: Formula, formula: Formula,
 
 def apply_substitution(template: Formula, subst: dict) -> Formula:
     if isinstance(template, Meta):
-        return subst[template.name]
+        # left unbound, it stays a Meta, which no parsed line contains
+        return subst.get(template.name, template)
     if isinstance(template, (Top, Atom)):
         return template
     if isinstance(template, Not):
@@ -194,11 +195,10 @@ def modal_leaves(formula: Formula) -> tuple[Formula, ...]:
     return tuple(out)
 
 
-def is_tautology(formula: Formula,
-                 leaf_budget: int = TAUT_LEAF_BUDGET) -> bool:
+def is_tautology(formula: Formula) -> bool:
     """Truth-table check treating modal subformulas as opaque letters."""
     leaves = modal_leaves(formula)
-    if len(leaves) > leaf_budget:
+    if len(leaves) > TAUT_LEAF_BUDGET:
         return False
 
     def ev(f: Formula, row: dict) -> bool:

@@ -220,13 +220,8 @@ def _witness_payload(frame: Frame, w):
         return {"cell": w.cell_index,
                 "xs": [_names(frame, x) for x in w.xs],
                 "ys": [_names(frame, y) for y in w.ys]}
-    if hasattr(w, "cell_index"):
-        return {"cell": w.cell_index,
-                "sets": [_names(frame, s) for s in w.sets]}
-    if isinstance(w, tuple):
-        return [_names(frame, p) if isinstance(p, EventSet) else p
-                for p in w]
-    return str(w)
+    return {"cell": w.cell_index,
+            "sets": [_names(frame, s) for s in w.sets]}
 
 
 def _witness_line(frame: Frame, condition: str, w) -> str:
@@ -663,10 +658,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except HighProbError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, ZeroDivisionError) as exc:
+    except (HighProbError, ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RecursionError:

@@ -23,7 +23,25 @@ from .errors import (
 Rational = Fraction
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
+
+
+def _members(bits: int) -> list[int]:
+    """The indices of the set bits, in increasing order."""
+    out = []
+    while bits:
+        low = bits & -bits
+        out.append(low.bit_length() - 1)
+        bits ^= low
+    return out
+
+
+def _submasks(bits: int) -> list[int]:
+    """Every submask of bits, in increasing order."""
+    out = [bits]
+    while out[-1]:
+        out.append((out[-1] - 1) & bits)
+    out.reverse()
+    return out
 
 
 @dataclass(frozen=True, order=True)
@@ -79,9 +97,6 @@ class EventSet:
         self._check(other)
         return self.bits & ~other.bits == 0
 
-    def ispropersubset(self, other: "EventSet") -> bool:
-        return self.issubset(other) and self.bits != other.bits
-
     def is_empty(self) -> bool:
         return self.bits == 0
 
@@ -95,18 +110,11 @@ class EventSet:
         return 0 <= index < self.universe_size and bool(self.bits >> index & 1)
 
     def indices(self) -> tuple[int, ...]:
-        return tuple(i for i in range(self.universe_size) if self.bits >> i & 1)
+        return tuple(_members(self.bits))
 
     def subsets(self) -> Iterable["EventSet"]:
         """All subsets, in increasing bitmask order."""
-        sub = self.bits
-        out = []
-        while True:
-            out.append(sub)
-            if sub == 0:
-                break
-            sub = (sub - 1) & self.bits
-        for b in reversed(out):
+        for b in _submasks(self.bits):
             yield EventSet(b, self.universe_size)
 
 
@@ -289,19 +297,10 @@ class NeighborhoodModel:
     _witnesses: dict = field(default_factory=dict, init=False, repr=False,
                              compare=False)
 
-    def cell_generators(self, cell_index: int) -> tuple[EventSet, ...]:
-        return self.generators[cell_index]
-
     def cell_is_neighborhood(self, cell_index: int, event: EventSet) -> bool:
         if not event.issubset(self.frame.partition[cell_index]):
             return False
         return any(g.issubset(event) for g in self.generators[cell_index])
-
-    def cell_neighborhoods(self, cell_index: int) -> list[EventSet]:
-        """Explicit closure enumeration; intended for small cells."""
-        cell = self.frame.partition[cell_index]
-        return [x for x in cell.subsets()
-                if any(g.issubset(x) for g in self.generators[cell_index])]
 
 
 def minimal_antichain(sets: Iterable[EventSet]) -> tuple[EventSet, ...]:

@@ -244,24 +244,25 @@ def _counting_disjunct(phis, psis, i):
     return disjuncts
 
 
-def segerberg_expand(phis, psis, mode: str = "I",
-                     guard: int = DEFAULT_EXPANSION_GUARD) -> Formula:
+def segerberg_expand(phis, psis, mode: str = "I") -> Formula:
     """Expand the counting notation into a plain modal formula.
 
     Mode ``I``: K(F_0 | ... | F_m) saying every accessible world satisfies
     at least as many psis as phis.  Mode ``E``: the conjunction of the two
-    ``I`` directions.  The expansion is exponential in m, so a guard bounds
-    it; past the guard, use the direct semantic evaluator instead.
+    ``I`` directions.  The expansion is exponential in m, so m above
+    DEFAULT_EXPANSION_GUARD raises ExpansionTooLarge; past it, use the
+    direct semantic evaluator instead.
     """
     phis, psis = list(phis), list(psis)
     m = len(phis)
     if m != len(psis) or m < 1:
         raise ValueError("need equally many phis and psis, at least one each")
-    if m > guard:
-        raise ExpansionTooLarge(f"m={m} exceeds expansion guard {guard}")
+    if m > DEFAULT_EXPANSION_GUARD:
+        raise ExpansionTooLarge(
+            f"m={m} exceeds expansion guard {DEFAULT_EXPANSION_GUARD}")
     if mode == "E":
-        return And(segerberg_expand(phis, psis, "I", guard),
-                   segerberg_expand(psis, phis, "I", guard))
+        return And(segerberg_expand(phis, psis, "I"),
+                   segerberg_expand(psis, phis, "I"))
     if mode != "I":
         raise ValueError(f"unknown mode {mode!r}")
     disjuncts = []
@@ -270,8 +271,7 @@ def segerberg_expand(phis, psis, mode: str = "I",
     return K(disj(disjuncts))
 
 
-def scott_instance(phis, psis, guard: int = DEFAULT_EXPANSION_GUARD
-                   ) -> Formula:
+def scott_instance(phis, psis) -> Formula:
     """[(phi_i I psi_i) & B phi_1 & AND_{i>=2} ~B~phi_i] -> OR_i B psi_i.
 
     For m = 1 the dual-belief conjunct block is empty and is omitted.
@@ -280,7 +280,7 @@ def scott_instance(phis, psis, guard: int = DEFAULT_EXPANSION_GUARD
     m = len(phis)
     if m != len(psis) or m < 1:
         raise ValueError("need equally many phis and psis, at least one each")
-    antecedent = [segerberg_expand(phis, psis, "I", guard), B(phis[0])]
+    antecedent = [segerberg_expand(phis, psis, "I"), B(phis[0])]
     antecedent.extend(b_dual(phi) for phi in phis[1:])
     return implies(conj(antecedent), disj([B(psi) for psi in psis]))
 

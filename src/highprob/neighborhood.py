@@ -24,6 +24,8 @@ from .core import (
     EventSet,
     NeighborhoodModel,
     ProbabilityModel,
+    _members,
+    _submasks,
     conditional_mass,
     make_neighborhood_model,
     minimal_antichain,
@@ -143,25 +145,6 @@ def _believed(gens: tuple[int, ...], x: int) -> bool:
     return any(g & ~x == 0 for g in gens)
 
 
-def _members(bits: int) -> list[int]:
-    """The indices of the set bits, in increasing order."""
-    out = []
-    while bits:
-        low = bits & -bits
-        out.append(low.bit_length() - 1)
-        bits ^= low
-    return out
-
-
-def _submasks(bits: int) -> list[int]:
-    """Every submask of bits, in increasing order."""
-    out = [bits]
-    while out[-1]:
-        out.append((out[-1] - 1) & bits)
-    out.reverse()
-    return out
-
-
 def _by_size(masks) -> tuple[int, ...]:
     return tuple(sorted(masks, key=lambda x: (x.bit_count(), x)))
 
@@ -197,22 +180,12 @@ def maximal_nonneighborhoods(cell: EventSet, gens) -> tuple[EventSet, ...]:
     return tuple(EventSet(x, cell.universe_size) for x in _by_size(out))
 
 
-def minimal_dual_believed(cell: EventSet, gens) -> tuple[EventSet, ...]:
-    """Minimal X with cell − X not a neighborhood.
-
-    This family is upward closed (non-neighborhoods are downward closed),
-    so its minimal elements are the cell-complements of the maximal
-    non-neighborhoods.
-    """
-    return tuple(sorted(
-        (cell.difference(x) for x in maximal_nonneighborhoods(cell, gens)),
-        key=lambda e: (len(e), e.bits)))
-
-
 def cell_families(model: NeighborhoodModel, cell_index: int
                   ) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The cell's maximal non-neighborhoods and minimal dual-believed sets
-    as bitmasks, each sorted by (size, bits).
+    as bitmasks, each sorted by (size, bits).  The dual-believed sets, X
+    with cell - X not a neighborhood, are upward closed, so the minimal
+    ones are the cell-complements of the maximal non-neighborhoods.
 
     Computed once per model and cell: the property searches, the
     witness search before synthesis and the synthesis LP's constraints

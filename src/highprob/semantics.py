@@ -273,8 +273,7 @@ def _cell_antichains(cell: EventSet):
             for mask in chain)
 
 
-def enumerate_neighborhood_models(max_worlds: int, atoms,
-                                  min_worlds: int = 1):
+def enumerate_neighborhood_models(max_worlds: int, atoms):
     """All pointed-model skeletons: frames with every valuation over the
     given atoms and every per-cell generator antichain, in canonical order
     (world count, partition, generator choice, valuation)."""
@@ -282,7 +281,7 @@ def enumerate_neighborhood_models(max_worlds: int, atoms,
     if max_worlds > MAX_ENUM_WORLDS:
         raise BoundTooLarge(
             f"enumeration supports at most {MAX_ENUM_WORLDS} worlds")
-    for n in range(min_worlds, max_worlds + 1):
+    for n in range(1, max_worlds + 1):
         worlds = tuple(f"w{i + 1}" for i in range(n))
         atom_subsets = [tuple(a for j, a in enumerate(atoms) if s >> j & 1)
                         for s in range(1 << len(atoms))]
@@ -308,9 +307,6 @@ def find_nbhd_countermodel(formula: Formula, max_worlds: int,
                            ) -> CountermodelResult:
     """First falsifying pointed neighborhood model in enumeration order."""
     _at_least_one("max_worlds", max_worlds)
-    if max_worlds > MAX_ENUM_WORLDS:
-        raise BoundTooLarge(
-            f"enumeration supports at most {MAX_ENUM_WORLDS} worlds")
     atoms = sorted(atoms_of(formula))
     for model in enumerate_neighborhood_models(max_worlds, atoms):
         if require_mid_threshold and not check_mid_threshold(model).all_hold:
@@ -324,10 +320,10 @@ def find_nbhd_countermodel(formula: Formula, max_worlds: int,
         f"all {kind} with at most {max_worlds} worlds")
 
 
-def sample_probability_model(rng: random.Random, max_worlds: int, atoms,
-                             max_denominator: int = 64) -> ProbabilityModel:
+def sample_probability_model(rng: random.Random, max_worlds: int, atoms
+                             ) -> ProbabilityModel:
     """One random model: random partition, valuation, and full-support
-    weights with bounded denominators."""
+    weights whose denominators divide some d <= max(64, n)."""
     n = rng.randint(1, max_worlds)
     worlds = tuple(f"w{i + 1}" for i in range(n))
     next_block = 0
@@ -346,7 +342,7 @@ def sample_probability_model(rng: random.Random, max_worlds: int, atoms,
     frame = Frame(worlds, partition, valuation)
     # a random composition of d into n positive parts keeps every weight's
     # denominator a divisor of d
-    d = rng.randint(max(n, 2), max(max_denominator, n))
+    d = rng.randint(max(n, 2), max(64, n))
     cuts = sorted(rng.sample(range(1, d), n - 1))
     parts = [b - a for a, b in zip((0, *cuts), (*cuts, d))]
     weights = {w: Fraction(part, d) for w, part in zip(worlds, parts)}

@@ -118,9 +118,6 @@ class LPResult:
     slack: Fraction | None = None
     pivots: int = 0  # over both phases, drive-out pivots included
 
-    def value(self, var: str) -> Fraction:
-        return dict(self.assignment)[var]
-
     def as_dict(self) -> dict[str, Fraction]:
         return dict(self.assignment or ())
 

@@ -421,6 +421,22 @@ class TestErrorContract:
                            "--max-worlds", "1")
         assert code == 0 and out.startswith("false at w1")
 
+    def test_countermodel_past_the_enumeration_bound(self, capsys):
+        err = self.assert_error(capsys, "countermodel", "--formula", "p",
+                                "--max-worlds", "6")
+        assert err == "error: enumeration supports at most 5 worlds\n"
+
+    def test_substitution_leaving_a_metavariable_unbound(self, capsys,
+                                                        tmp_path):
+        # a negative verdict, not an error: Ap's phi stays unbound
+        proof = tmp_path / "proof.txt"
+        proof.write_text("1. B p -> K B p ; AX Ap {chi := p}\n")
+        code, out, err = run(capsys, "prove", "--theory", "kb",
+                             "--proof", str(proof))
+        assert code == 1 and err == ""
+        assert out == "RejectedAt line 1: substitution does not produce " \
+                      "line\n"
+
     def test_weight_in_exponent_notation(self, capsys, tmp_path):
         err = self.assert_bad_model(capsys, tmp_path, dict(
             PROB_DOC, weights={"w1": "1e2000000", "w2": "1"}))
@@ -541,6 +557,30 @@ FORMULAS = ("p", "B p", "K p -> p", "~B ~p", "P(p) > 1/2", "B (p", "",
             "p & q", "K")
 
 
+PROOF_SCHEMES = ("CL", "KS5_K", "KS5_T", "Ap", "An", "KBM", "D", "SC",
+                 "N", "Scott1", "x")
+PROOF_FORMULAS = ("B p -> K B p", "K p -> p", "p -> (q -> p)",
+                  "B p -> ~B ~p", "B true", "p")
+
+
+@st.composite
+def proof_texts(draw):
+    """A proof of one to three axiom lines, each naming a scheme and
+    binding a random subset of phi, psi and chi, or nothing."""
+    lines = []
+    for no in range(1, draw(st.integers(1, 3)) + 1):
+        line = (f"{no}. {draw(st.sampled_from(PROOF_FORMULAS))} ; "
+                f"AX {draw(st.sampled_from(PROOF_SCHEMES))}")
+        if draw(st.booleans()):
+            names = draw(st.lists(st.sampled_from(("phi", "psi", "chi")),
+                                  unique=True, max_size=3))
+            line += " {" + ", ".join(
+                f"{name} := {draw(st.sampled_from(('p', 'q', 'B p')))}"
+                for name in names) + "}"
+        lines.append(line)
+    return "\n".join(lines) + "\n"
+
+
 def command_argv(draw, model_path: str, text_path: str) -> list[str]:
     """One subcommand with a random subset of its options, some values
     broken; countermodel searches stay within two worlds."""
@@ -631,3 +671,13 @@ class TestFuzzContract:
                 "check-model": ["check-model", "--mid-threshold",
                                 "--conjectured", "2/3"]}[command]
         self.check(capsys, argv + ["--model", str(path)])
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(proof_texts(), st.sampled_from(("kb", "kb-half",
+                                           "kb-half-minus")))
+    def test_proof_files(self, capsys, tmp_path, text, theory):
+        path = tmp_path / "proof.txt"
+        path.write_text(text)
+        self.check(capsys, ["prove", "--theory", theory, "--proof",
+                            str(path)])

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from highprob.errors import ExpansionTooLarge, FormulaSyntaxError
 from highprob.formula import (
+    DEFAULT_EXPANSION_GUARD,
     TOP,
     And,
     Atom,
@@ -203,10 +204,11 @@ class TestCountingExpansion:
             segerberg_expand([q], [p], "I"))
 
     def test_guard(self):
+        assert DEFAULT_EXPANSION_GUARD == 4
         phis = [Atom(f"a{i}") for i in range(5)]
+        segerberg_expand(phis[:4], phis[:4], "I")
         with pytest.raises(ExpansionTooLarge):
-            segerberg_expand(phis, phis, "I", guard=4)
-        segerberg_expand(phis, phis, "I", guard=5)
+            segerberg_expand(phis, phis, "I")
 
     def test_scott_instance_m1(self):
         got = scott_instance([p], [q])

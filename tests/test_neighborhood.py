@@ -29,6 +29,7 @@ from highprob.neighborhood import (
     CellSetWitness,
     ScottWitness,
     _certifies,
+    cell_families,
     check_agreement,
     check_base_properties,
     check_conjectured,
@@ -36,7 +37,6 @@ from highprob.neighborhood import (
     derive_neighborhoods,
     infeasibility_witness,
     maximal_nonneighborhoods,
-    minimal_dual_believed,
     verify_scott_witness,
 )
 from highprob.semantics import (
@@ -88,17 +88,17 @@ class TestMaximalNonneighborhoods:
             subs = [s for s in cell.subsets() if not s.is_empty()]
             gens = [rng.choice(subs) for _ in range(rng.randint(1, 3))]
             model = one_cell(n, [g.indices() for g in gens])
-            gens = model.cell_generators(0)
+            gens = model.generators[0]
             got = maximal_nonneighborhoods(cell, gens)
             non = [x for x in cell.subsets()
                    if not any(g.issubset(x) for g in gens)]
             want = [x for x in non
-                    if not any(x.ispropersubset(y) for y in non)]
+                    if not any(x != y and x.issubset(y) for y in non)]
             assert sorted(got, key=lambda e: e.bits) \
                 == sorted(want, key=lambda e: e.bits)
             # duals
-            duals = minimal_dual_believed(cell, gens)
-            assert sorted(d.bits for d in duals) \
+            duals = cell_families(model, 0)[1]
+            assert sorted(duals) \
                 == sorted(cell.difference(x).bits for x in got)
 
 
@@ -108,9 +108,11 @@ def nested_first_witness(model, m_max, weak):
     Y-list.  X_1 is a generator, later X's are minimal dual-believed
     sets (generators too when weak), the Y's maximal non-neighborhoods."""
     for ci, cell in enumerate(model.frame.partition):
-        gens = model.cell_generators(ci)
+        gens = model.generators[ci]
         max_non = maximal_nonneighborhoods(cell, gens)
-        later = gens if weak else minimal_dual_believed(cell, gens)
+        later = gens if weak else sorted(
+            (cell.difference(x) for x in max_non),
+            key=lambda e: (len(e), e.bits))
         for m in range(1, m_max + 1 if max_non else 1):
             xss = (itertools.combinations_with_replacement(gens, m) if weak
                    else ((x1,) + rest for x1 in gens for rest in
@@ -128,7 +130,7 @@ def nested_first_witness(model, m_max, weak):
 def nested_first_load(model, ci, c, k_max):
     """The first load witness of the plain nested search: k generators,
     repeats allowed, with no world of the cell in more than floor(k*c)."""
-    cell, gens = model.frame.partition[ci], model.cell_generators(ci)
+    cell, gens = model.frame.partition[ci], model.generators[ci]
     for k in range(1, k_max + 1):
         for xs in itertools.combinations_with_replacement(gens, k):
             if all(sum(v in x for x in xs) <= floor(k * c.value)
@@ -174,7 +176,7 @@ class TestMidThreshold:
         # feasible only for tiny cells
         def naive_scott_fails(model, m_max):
             for ci, cell in enumerate(model.frame.partition):
-                gens = model.cell_generators(ci)
+                gens = model.generators[ci]
                 in_n = lambda x: any(g.issubset(x) for g in gens)
                 subs = list(cell.subsets())
                 for m in range(1, m_max + 1):
@@ -505,18 +507,18 @@ class TestSearchTable:
 class TestDerivationAndAgreement:
     def test_generators_of_uniform_thirds(self):
         derived = derive_neighborhoods(horses_uniform(), HALF)
-        gens = derived.cell_generators(0)
+        gens = derived.generators[0]
         # believed sets are exactly those of size >= 2
         assert sorted(g.cardinality() for g in gens) == [2, 2, 2]
 
     def test_generators_move_with_threshold(self):
         derived = derive_neighborhoods(horses_uniform(),
                                        Threshold(Fraction(2, 3)))
-        assert derived.cell_generators(0) == (EventSet.full(3),)
+        assert derived.generators[0] == (EventSet.full(3),)
 
     def test_certain_singleton_cell(self):
         derived = derive_neighborhoods(horses_cut(), HALF)
-        assert derived.cell_generators(1) == (EventSet.of([2], 3),)
+        assert derived.generators[1] == (EventSet.of([2], 3),)
 
     def test_agreement_round_trip(self):
         rng = random.Random(7)
