@@ -1,9 +1,10 @@
 """Worlds, events, S5 frames, and the two model structures.
 
 All probabilities are exact rationals (``fractions.Fraction``); no floating
-point is used anywhere.  Events are bitsets over world indices.  The S5
-accessibility relation is stored directly as a partition of the world set
-into equivalence classes.  All types are immutable after construction.
+point is used anywhere, and ``exact`` refuses a float weight or threshold.
+Events are bitsets over world indices.  The S5 accessibility relation is
+stored directly as a partition of the world set into equivalence classes.
+All types are immutable after construction.
 """
 
 from __future__ import annotations
@@ -23,6 +24,15 @@ from .errors import (
 Rational = Fraction
 
 ZERO = Fraction(0)
+
+
+def exact(value) -> Fraction:
+    """value as a Fraction.  A float is refused because it carries a
+    binary fraction, and a bool because it would pass for an int."""
+    if isinstance(value, (float, bool)):
+        raise TypeError(f"{value!r} is not exact: give an int, a Fraction "
+                        f"or a \"p/q\" string")
+    return Fraction(value)
 
 
 def _members(bits: int) -> list[int]:
@@ -222,7 +232,7 @@ def make_probability_model(frame: Frame, weights: Mapping[str, object]
     """Validate full support and normalization; canonicalize the rationals."""
     if set(weights) != set(frame.worlds):
         raise BadPartition("weights must be keyed exactly by the frame worlds")
-    vec = tuple(Fraction(weights[w]) for w in frame.worlds)
+    vec = tuple(exact(weights[w]) for w in frame.worlds)
     for w, q in zip(frame.worlds, vec):
         if q <= 0:
             raise ZeroOrNegativeWeight(f"weight of {w!r} is {q}")

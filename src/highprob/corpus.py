@@ -7,7 +7,6 @@ measure, and the regression proof corpus.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 
 from .core import (
     EventSet,
@@ -139,100 +138,24 @@ def kps_relation() -> ComparativeRelation:
               for x, rel, y in KPS_STATEMENTS))
 
 
-# weights under which each of the four comparisons is an exact tie;
-# a tie-broken extension can then orient them strictly
-_KPS_TIE_WEIGHTS = (5, 1, 6, 10, 2)
+# each event's rank in a strict total order, indexed by event bitmask
+_KPS_RANK = (0, 4, 1, 6, 5, 14, 8, 15, 12, 20, 13, 22, 21, 28, 24, 29,
+             2, 7, 3, 10, 9, 18, 11, 19, 16, 23, 17, 26, 25, 30, 27, 31)
 
 
-def _kps_score(bits: int) -> int:
-    return sum(w for i, w in enumerate(_KPS_TIE_WEIGHTS) if bits >> i & 1)
-
-
-@lru_cache(maxsize=1)
 def kps_definetti_extension():
-    """A total weak order over the powerset of the five-element universe
-    that satisfies all five classical conditions, orients the four
+    """A total order over the powerset of the five-element universe that
+    satisfies all five classical conditions, orients the four
     counterexample statements strictly, and therefore has no realizing
     measure.
 
-    Construction: order first by the tie weights above; within a score
-    level, compare two sets by a backtracking-chosen orientation of their
-    disjoint difference pair.  Because the difference pair is unchanged by
-    adding any common disjoint part, the common-part condition holds by
-    construction; the search only has to ensure per-level transitivity
-    and the four required strict orientations.
+    The order is the stored rank table above: it refines the measure
+    order of the weights (5, 1, 6, 10, 2), under which each statement is
+    an exact tie, and breaks every tie.  ``demo kps`` re-proves the five
+    conditions with ``check_definetti`` on every run.
     """
-    n = len(KPS_WORLDS)
-    events = list(range(1 << n))
-    levels: dict[int, list[int]] = {}
-    for ev in events:
-        levels.setdefault(_kps_score(ev), []).append(ev)
-
-    forced = {}
-    for x, _, y in KPS_STATEMENTS:
-        xb, yb = _kps_event(x).bits, _kps_event(y).bits
-        key = (min(xb, yb), max(xb, yb))
-        forced[key] = -1 if xb < yb else 1  # orientation: first < second
-
-    # orientation maps each disjoint same-score pair (p, q) with p < q to
-    # -1 (p below), 0 (equal), or 1 (q below)
-    orientation: dict[tuple[int, int], int] = {}
-
-    def pair_key(p: int, q: int) -> tuple[int, int]:
-        return (p, q) if p < q else (q, p)
-
-    def leq_bits(p: int, q: int) -> bool:
-        sp, sq = _kps_score(p), _kps_score(q)
-        if sp != sq:
-            return sp < sq
-        core_p, core_q = p & ~q, q & ~p
-        if core_p == core_q:
-            return True
-        key = pair_key(core_p, core_q)
-        sign = orientation[key]
-        if sign == 0:
-            return True
-        below_first = sign == -1
-        return below_first == (key[0] == core_p)
-
-    def level_consistent(members) -> bool:
-        for p in members:
-            for q in members:
-                if not leq_bits(p, q):
-                    continue
-                for r in members:
-                    if leq_bits(q, r) and not leq_bits(p, r):
-                        return False
-        return True
-
-    for score in sorted(levels):
-        members = levels[score]
-        pairs = sorted({pair_key(p & ~q, q & ~p)
-                        for i, p in enumerate(members)
-                        for q in members[i + 1:] if p & ~q != q & ~p})
-        choices = []
-        for key in pairs:
-            if key in forced:
-                choices.append((key, (forced[key],)))
-            else:
-                choices.append((key, (0, -1, 1)))
-
-        def assign(i) -> bool:
-            if i == len(choices):
-                return level_consistent(members)
-            key, options = choices[i]
-            for opt in options:
-                orientation[key] = opt
-                if assign(i + 1):
-                    return True
-            del orientation[key]
-            return False
-
-        if not assign(0):
-            raise RuntimeError(f"no consistent tie-break at level {score}")
-
     def leq(x: EventSet, y: EventSet) -> bool:
-        return leq_bits(x.bits, y.bits)
+        return _KPS_RANK[x.bits] <= _KPS_RANK[y.bits]
 
     return leq
 

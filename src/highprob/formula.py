@@ -21,6 +21,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .core import exact
 from .errors import ExpansionTooLarge, FormulaSyntaxError
 
 # ---------------------------------------------------------------------------
@@ -197,7 +198,7 @@ class Threshold:
     value: Fraction
 
     def __post_init__(self):
-        v = Fraction(self.value)
+        v = exact(self.value)
         object.__setattr__(self, "value", v)
         if not 0 < v < 1:
             raise ValueError("threshold must lie strictly between 0 and 1")

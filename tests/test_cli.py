@@ -437,6 +437,19 @@ class TestErrorContract:
         assert out == "RejectedAt line 1: substitution does not produce " \
                       "line\n"
 
+    def test_scott_scheme_past_the_expansion_guard(self, capsys, tmp_path):
+        # kb-half has every Scott_m, but m = 17 would expand past the
+        # guard: an error; kb has none of them: a rejected line
+        proof = tmp_path / "proof.txt"
+        proof.write_text("1. p -> p ; AX Scott17\n")
+        err = self.assert_error(capsys, "prove", "--theory", "kb-half",
+                                "--proof", str(proof))
+        assert err == "error: m=17 exceeds expansion guard 4\n"
+        code, out, err = run(capsys, "prove", "--theory", "kb",
+                             "--proof", str(proof))
+        assert code == 1 and err == ""
+        assert out == "RejectedAt line 1: scheme Scott17 not in kb\n"
+
     def test_weight_in_exponent_notation(self, capsys, tmp_path):
         err = self.assert_bad_model(capsys, tmp_path, dict(
             PROB_DOC, weights={"w1": "1e2000000", "w2": "1"}))

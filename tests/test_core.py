@@ -98,6 +98,19 @@ class TestProbabilityModel:
         m = make_probability_model(f, {"w": 1})
         assert m.weight("w") == 1
 
+    def test_float_and_bool_weights_refused(self):
+        # 0.1 + 0.9 as binary fractions sums to 1 + 2**-55, and True is 1
+        f = Frame(("a", "b"), (("a", "b"),), {})
+        for weights in ({"a": 0.5, "b": 0.5}, {"a": 0.1, "b": 0.9},
+                        {"a": Fraction(1, 2), "b": 0.5}):
+            with pytest.raises(TypeError, match="0.5|0.1"):
+                make_probability_model(f, weights)
+        with pytest.raises(TypeError, match="True"):
+            make_probability_model(Frame(("w",), (("w",),), {}),
+                                   {"w": True})
+        m = make_probability_model(f, {"a": "1/4", "b": Fraction(3, 4)})
+        assert m.weights == (Fraction(1, 4), Fraction(3, 4))
+
     def test_conditional_probability(self):
         m = horse_model()
         assert conditional_probability(

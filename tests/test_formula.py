@@ -67,6 +67,14 @@ class TestThreshold:
             with pytest.raises(ValueError):
                 Threshold(Fraction(bad))
 
+    def test_exact_values_only(self):
+        # 0.6 would become 5404319552844595/9007199254740992
+        for inexact in (0.6, 0.5, True):
+            with pytest.raises(TypeError, match=repr(inexact)):
+                Threshold(inexact)
+        for value in (Fraction(3, 5), "3/5"):
+            assert Threshold(value).value == Fraction(3, 5)
+
 
 class TestParsing:
     def test_precedence(self):

@@ -795,6 +795,13 @@ class TestDeFinetti:
             assert rel == "<"
             assert leq(ev(left), ev(right))
             assert not leq(ev(right), ev(left))
+        # a strict total order: each event has its own number of events
+        # strictly below it, from none below {} to 31 below the universe
+        events = [EventSet(b, 5) for b in range(32)]
+        below = [sum(leq(y, x) and not leq(x, y) for y in events)
+                 for x in events]
+        assert sorted(below) == list(range(32))
+        assert below[0] == 0 and below[31] == 31
 
     def test_oracle_called_once_per_ordered_pair(self):
         for leq, n in ((kps_definetti_extension(), 5),
