@@ -13,7 +13,7 @@ partition cell, each a list of world-name lists naming the minimal
 neighborhoods.  Rationals always serialize as "p/q" strings.
 
 Exit codes: 0 for a positive verdict (true, holds, feasible, accepted,
-witness found), 1 for the negative verdict, 2 or more for errors.
+witness found), 1 for the negative verdict, 2 for errors.
 """
 
 from __future__ import annotations
@@ -185,10 +185,7 @@ def load_model(spec: str):
     if spec in _BUILTINS:
         return _BUILTINS[spec]()
     try:
-        with open(spec, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise HighProbError(f"cannot read model file {spec}: {exc}") from exc
+        doc = json.loads(_read_text(spec, "model file"))
     except json.JSONDecodeError as exc:
         raise HighProbError(f"bad JSON in {spec}: {exc}") from exc
     return model_from_dict(doc)
@@ -202,26 +199,15 @@ def _read_text(path: str, what: str) -> str:
         raise HighProbError(f"cannot read {what} {path}: {exc}") from exc
 
 
-def _emit(args, payload: dict, human: str) -> None:
-    if args.json:
-        print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
-    else:
-        print(human)
-
-
-def _names(frame: Frame, event: EventSet) -> list[str]:
-    return list(frame.names(event))
-
-
 def _witness_payload(frame: Frame, w):
     if w is None:
         return None
     if isinstance(w, ScottWitness):
         return {"cell": w.cell_index,
-                "xs": [_names(frame, x) for x in w.xs],
-                "ys": [_names(frame, y) for y in w.ys]}
+                "xs": [frame.names(x) for x in w.xs],
+                "ys": [frame.names(y) for y in w.ys]}
     return {"cell": w.cell_index,
-            "sets": [_names(frame, s) for s in w.sets]}
+            "sets": [frame.names(s) for s in w.sets]}
 
 
 def _witness_line(frame: Frame, condition: str, w) -> str:
@@ -254,9 +240,10 @@ def _threshold(text: str) -> Threshold:
 
 
 # ---------------------------------------------------------------------------
-# Subcommands
+# Subcommands: each returns (verdict, --json payload, human text), which
+# only `main` prints and turns into the exit code
 
-def cmd_eval(args) -> int:
+def cmd_eval(args) -> tuple[bool, dict, str]:
     model = load_model(args.model)
     if args.world not in model.frame.worlds:
         raise HighProbError(f"unknown world {args.world!r}")
@@ -275,11 +262,10 @@ def cmd_eval(args) -> int:
             raise HighProbError(
                 "probability-language formulas need a probability model")
         verdict = eval_l(model, args.world, formula)
-    _emit(args, {"verdict": verdict}, "true" if verdict else "false")
-    return 0 if verdict else 1
+    return verdict, {"verdict": verdict}, "true" if verdict else "false"
 
 
-def cmd_check_model(args) -> int:
+def cmd_check_model(args) -> tuple[bool, dict, str]:
     model = load_model(args.model)
     if isinstance(model, ProbabilityModel):
         raise HighProbError("check-model expects a neighborhood model")
@@ -300,48 +286,40 @@ def cmd_check_model(args) -> int:
         for name, v in rep.verdicts:
             lines.append(f"{group}/{name}: "
                          + ("holds" if v.holds else "FAILS"))
-    _emit(args, payload, "\n".join(lines))
-    return 0 if ok else 1
+    return ok, payload, "\n".join(lines)
 
 
-def cmd_derive(args) -> int:
+def cmd_derive(args) -> tuple[bool, dict, str]:
     model = load_model(args.model)
     if not isinstance(model, ProbabilityModel):
         raise HighProbError("derive expects a probability model")
     derived = derive_neighborhoods(model, _threshold(args.threshold))
     doc = model_to_dict(derived)
-    print(json.dumps(doc, sort_keys=True,
-                     separators=(",", ":") if args.json else (", ", ": ")))
-    return 0
+    return True, doc, json.dumps(doc, sort_keys=True)
 
 
-def cmd_synthesize(args) -> int:
+def cmd_synthesize(args) -> tuple[bool, dict, str]:
     model = load_model(args.model)
     if not isinstance(model, NeighborhoodModel):
         raise HighProbError("synthesize expects a neighborhood model")
     result = synthesize_measure(model, _threshold(args.threshold))
-    if not result.feasible:
-        payload: dict = {"feasible": False, "cell": result.failed_cell}
-        lines = ["INFEASIBLE"]
-        w = result.witness
-        if w is not None:
-            payload["witness"] = {"condition": result.condition,
-                                  **_witness_payload(model.frame, w)}
-            if isinstance(w, ScottWitness):
-                payload["witness"]["m"] = len(w.xs)
-            lines.append(_witness_line(model.frame, result.condition, w))
-        _emit(args, payload, "\n".join(lines))
-        return 1
-    doc = model_to_dict(result.model)
-    if args.json:
-        print(json.dumps({"feasible": True, "model": doc},
-                         sort_keys=True, separators=(",", ":")))
-    else:
-        print(json.dumps(doc, sort_keys=True))
-    return 0
+    if result.feasible:
+        doc = model_to_dict(result.model)
+        return (True, {"feasible": True, "model": doc},
+                json.dumps(doc, sort_keys=True))
+    payload: dict = {"feasible": False, "cell": result.failed_cell}
+    lines = ["INFEASIBLE"]
+    w = result.witness
+    if w is not None:
+        payload["witness"] = {"condition": result.condition,
+                              **_witness_payload(model.frame, w)}
+        if isinstance(w, ScottWitness):
+            payload["witness"]["m"] = len(w.xs)
+        lines.append(_witness_line(model.frame, result.condition, w))
+    return False, payload, "\n".join(lines)
 
 
-def cmd_agree(args) -> int:
+def cmd_agree(args) -> tuple[bool, dict, str]:
     nbhd = load_model(args.nbhd)
     prob = load_model(args.prob)
     if not isinstance(nbhd, NeighborhoodModel) \
@@ -350,17 +328,14 @@ def cmd_agree(args) -> int:
                             "--prob probability models")
     verdict = check_agreement(nbhd, prob, _threshold(args.threshold))
     if verdict.holds:
-        _emit(args, {"holds": True}, "Holds")
-        return 0
+        return True, {"holds": True}, "Holds"
     world, x = verdict.witness
-    _emit(args, {"holds": False,
-                 "witness": {"world": world,
-                             "set": _names(nbhd.frame, x)}},
-          f"Fails at world {world} on set {{{', '.join(nbhd.frame.names(x))}}}")
-    return 1
+    names = nbhd.frame.names(x)
+    return (False, {"holds": False, "witness": {"world": world, "set": names}},
+            f"Fails at world {world} on set {{{', '.join(names)}}}")
 
 
-def cmd_countermodel(args) -> int:
+def cmd_countermodel(args) -> tuple[bool, dict, str]:
     formula = parse_kb(args.formula)
     if args.prob:
         result = sample_prob_countermodel(
@@ -370,26 +345,21 @@ def cmd_countermodel(args) -> int:
         result = find_nbhd_countermodel(formula, args.max_worlds,
                                         args.mid_threshold)
     if not result.found:
-        _emit(args, {"found": False, "bound": result.bound}, "NONE")
-        return 1
+        return False, {"found": False, "bound": result.bound}, "NONE"
     doc = model_to_dict(result.model)
-    payload = {"found": True, "world": result.world, "model": doc}
-    _emit(args, payload,
-          f"false at {result.world} in\n" + json.dumps(doc, sort_keys=True))
-    return 0
+    return (True, {"found": True, "world": result.world, "model": doc},
+            f"false at {result.world} in\n" + json.dumps(doc, sort_keys=True))
 
 
-def cmd_prove(args) -> int:
+def cmd_prove(args) -> tuple[bool, dict, str]:
     derivation = parse_proof(_read_text(args.proof, "proof"))
     result = check_derivation(derivation, args.theory,
                               cl_oracle=args.cl_oracle)
     if result.accepted:
-        _emit(args, {"accepted": True}, "Accepted")
-        return 0
-    _emit(args, {"accepted": False, "line": result.line,
-                 "reason": result.reason},
-          f"RejectedAt line {result.line}: {result.reason}")
-    return 1
+        return True, {"accepted": True}, "Accepted"
+    return (False,
+            {"accepted": False, "line": result.line, "reason": result.reason},
+            f"RejectedAt line {result.line}: {result.reason}")
 
 
 def _parse_statements(text: str, worlds) -> ComparativeRelation:
@@ -415,7 +385,7 @@ def _parse_statements(text: str, worlds) -> ComparativeRelation:
     return ComparativeRelation(worlds, tuple(statements))
 
 
-def cmd_comparative(args) -> int:
+def cmd_comparative(args) -> tuple[bool, dict, str]:
     worlds = tuple(args.universe.split())
     if args.statements:
         rel = _parse_statements(
@@ -423,32 +393,27 @@ def cmd_comparative(args) -> int:
     else:
         rel = ComparativeRelation(worlds, ())
     result = realize_comparative(rel)
-    payload: dict = {"feasible": result.feasible}
-    lines = []
-    if result.feasible:
-        assignment = {v: str(q) for v, q in result.assignment}
-        payload["measure"] = assignment
-        lines.append("Feasible: " + json.dumps(assignment, sort_keys=True))
-        if args.definetti:
-            weights = [Fraction(dict(result.assignment)[f"p_{w}"])
-                       for w in worlds]
-            report = check_definetti(
-                measure_order(weights, len(worlds)), len(worlds))
-            payload["definetti"] = {name: v.holds
-                                    for name, v in report.verdicts}
-            for name, v in report.verdicts:
-                lines.append(f"definetti/{name}: "
-                             + ("holds" if v.holds else "FAILS"))
-    else:
-        lines.append("INFEASIBLE")
-    _emit(args, payload, "\n".join(lines))
-    return 0 if result.feasible else 1
+    if not result.feasible:
+        return False, {"feasible": False}, "INFEASIBLE"
+    assignment = {v: str(q) for v, q in result.assignment}
+    payload = {"feasible": True, "measure": assignment}
+    lines = ["Feasible: " + json.dumps(assignment, sort_keys=True)]
+    if args.definetti:
+        weights = [Fraction(dict(result.assignment)[f"p_{w}"])
+                   for w in worlds]
+        report = check_definetti(
+            measure_order(weights, len(worlds)), len(worlds))
+        payload["definetti"] = {name: v.holds for name, v in report.verdicts}
+        for name, v in report.verdicts:
+            lines.append(f"definetti/{name}: "
+                         + ("holds" if v.holds else "FAILS"))
+    return True, payload, "\n".join(lines)
 
 
 # ---------------------------------------------------------------------------
 # Demos
 
-def _demo_walley_fine(args) -> int:
+def _demo_walley_fine():
     model = corpus.walley_fine_model()
     xs, ys = corpus.walley_fine_witness()
     xs2, ys2 = corpus.walley_fine_scott2_witness()
@@ -468,13 +433,13 @@ def _demo_walley_fine(args) -> int:
         "base_properties_hold": base.all_hold,
         "counting_violation": {
             "verified": witness_ok,
-            "xs": [_names(frame, x) for x in xs],
-            "ys": [_names(frame, y) for y in ys]},
+            "xs": [frame.names(x) for x in xs],
+            "ys": [frame.names(y) for y in ys]},
         "smallest_counting_violation": {
             "m": len(xs2),
             "verified": scott2_ok,
-            "xs": [_names(frame, x) for x in xs2],
-            "ys": [_names(frame, y) for y in ys2]},
+            "xs": [frame.names(x) for x in xs2],
+            "ys": [frame.names(y) for y in ys2]},
         "synthesis_feasible": {c: r.feasible for c, r in synth.items()},
         "synthesis_condition": {c: r.condition for c, r in synth.items()},
         "x_occurrences": x_counts,
@@ -501,17 +466,18 @@ def _demo_walley_fine(args) -> int:
         lines.append(f"synthesize at c = {c}: " + (
             "Feasible" if r.feasible else "INFEASIBLE, "
             + (f"{r.condition} fails" if r.condition else "by the LP")))
-    _emit(args, payload, "\n".join(lines))
     ok = (base.all_hold and witness_ok and scott2_ok
           and not any(r.feasible for r in synth.values()))
-    return 0 if ok else 1
+    return ok, payload, "\n".join(lines)
 
 
-def _demo_kps(args) -> int:
+def _demo_kps():
     rel = corpus.kps_relation()
     result = realize_comparative(rel)
     leq = corpus.kps_definetti_extension()
     report = check_definetti(leq, len(corpus.KPS_WORLDS))
+    # an extension of the relation also puts each right side strictly above
+    oriented = all(not leq(y, x) for x, _, y in rel.statements)
     payload = {
         "statements": [f"{x} < {y}" for x, _, y in corpus.KPS_STATEMENTS],
         "realizable": result.feasible,
@@ -526,11 +492,13 @@ def _demo_kps(args) -> int:
     lines.append("a condition-satisfying total extension exists; "
                  "its five classical conditions: "
                  + ("all hold" if report.all_hold else "FAIL"))
-    _emit(args, payload, "\n".join(lines))
-    return 0 if not result.feasible and report.all_hold else 1
+    if not oriented:
+        lines.append("the extension does not orient every statement: FAIL")
+    ok = not result.feasible and report.all_hold and oriented
+    return ok, payload, "\n".join(lines)
 
 
-def _demo_horses(args) -> int:
+def _demo_horses():
     half = Threshold(Fraction(1, 2))
     m1 = corpus.horses_common_prior()
     m2 = corpus.horses_cut()
@@ -550,14 +518,11 @@ def _demo_horses(args) -> int:
     ]
     payload = {desc: ok for desc, ok in checks}
     lines = [f"{'ok  ' if ok else 'FAIL'} {desc}" for desc, ok in checks]
-    _emit(args, payload, "\n".join(lines))
-    return 0 if all(ok for _, ok in checks) else 1
+    return all(ok for _, ok in checks), payload, "\n".join(lines)
 
 
-def cmd_demo(args) -> int:
-    runners = {"walley-fine": _demo_walley_fine, "kps": _demo_kps,
-               "horses": _demo_horses}
-    return runners[args.scenario](args)
+_DEMOS = {"walley-fine": _demo_walley_fine, "kps": _demo_kps,
+          "horses": _demo_horses}
 
 
 # ---------------------------------------------------------------------------
@@ -647,23 +612,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_comparative)
 
     p = sub.add_parser("demo", help="run a built-in scenario")
-    p.add_argument("scenario", choices=("walley-fine", "kps", "horses"))
-    p.set_defaults(func=cmd_demo)
+    p.add_argument("scenario", choices=_DEMOS)
+    p.set_defaults(func=lambda args: _DEMOS[args.scenario]())
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        ok, payload, text = args.func(args)
     except (HighProbError, ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RecursionError:
         print("error: formula nested too deep", file=sys.stderr)
         return 2
+    print(json.dumps(payload, sort_keys=True, separators=(",", ":"))
+          if args.json else text)
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":

@@ -13,6 +13,7 @@ from .core import (
     Frame,
     NeighborhoodModel,
     ProbabilityModel,
+    exact,
     make_neighborhood_model,
     make_probability_model,
 )
@@ -56,7 +57,7 @@ def non_consequence_model(c: Fraction) -> ProbabilityModel:
     implication from not-h1 to h2 and its antecedent each get probability
     (p+q)/2q above the threshold, while h2 gets exactly p/q.
     """
-    c = Fraction(c)
+    c = exact(c)
     p, q = c.numerator, c.denominator
     side = Fraction(q - p, 2 * q)
     frame = Frame(("w1", "w2", "w3"), (("w1", "w2", "w3"),),

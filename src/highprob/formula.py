@@ -77,12 +77,18 @@ class TermL:
 class Const(TermL):
     value: Fraction
 
+    def __post_init__(self):
+        object.__setattr__(self, "value", exact(self.value))
+
 
 @dataclass(frozen=True)
 class Scaled(TermL):
     """q * P(phi)."""
     coeff: Fraction
     sub: Formula
+
+    def __post_init__(self):
+        object.__setattr__(self, "coeff", exact(self.coeff))
 
 
 @dataclass(frozen=True)
@@ -186,7 +192,7 @@ def l_eq(left: TermL, right: TermL) -> Formula:
 
 
 def prob(sub: Formula, coeff=Fraction(1)) -> TermL:
-    return Scaled(Fraction(coeff), sub)
+    return Scaled(coeff, sub)
 
 
 # ---------------------------------------------------------------------------

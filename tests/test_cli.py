@@ -515,6 +515,17 @@ class TestDemos:
         b = run(capsys, "demo", "kps", "--json")
         assert a == b
 
+    def test_kps_needs_statements_oriented(self, capsys, monkeypatch):
+        # the uniform measure's order meets all five conditions but ties
+        # {b,d} with {a,c} and puts {d,e} below {a,b,c}
+        from highprob import corpus
+        from highprob.synthesis import measure_order
+        monkeypatch.setattr(corpus, "kps_definetti_extension",
+                            lambda: measure_order([Fraction(1, 5)] * 5, 5))
+        code, out, _ = run(capsys, "demo", "kps")
+        assert code == 1
+        assert "five classical conditions: all hold" in out
+
 
 # ---------------------------------------------------------------------------
 # Fuzzing the exit-code contract
@@ -658,6 +669,11 @@ class TestFuzzContract:
         if code == 2:
             errors = [ln for ln in out.err.splitlines() if "error:" in ln]
             assert len(errors) == 1, (argv, out.err)
+            assert out.out == "", (argv, out.out)
+        elif argv[:1] == ["--json"]:
+            assert out.out.endswith("\n") and out.out.count("\n") == 1, \
+                (argv, out.out)
+            assert isinstance(json.loads(out.out), dict), (argv, out.out)
 
     @settings(max_examples=150, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])

@@ -11,6 +11,7 @@ from highprob.core import (
     make_probability_model,
     minimal_antichain,
 )
+from highprob.corpus import non_consequence_model
 from highprob.errors import (
     BadNeighborhood,
     BadPartition,
@@ -110,6 +111,14 @@ class TestProbabilityModel:
                                    {"w": True})
         m = make_probability_model(f, {"a": "1/4", "b": Fraction(3, 4)})
         assert m.weights == (Fraction(1, 4), Fraction(3, 4))
+
+    def test_corpus_threshold_must_be_exact(self):
+        # 0.6 would give w2 the weight 5404319552844595/9007199254740992
+        with pytest.raises(TypeError, match="0.6"):
+            non_consequence_model(0.6)
+        for c in (Fraction(3, 5), "3/5"):
+            assert non_consequence_model(c).weights == (
+                Fraction(1, 5), Fraction(3, 5), Fraction(1, 5))
 
     def test_conditional_probability(self):
         m = horse_model()

@@ -15,6 +15,7 @@ from highprob.formula import (
     GeqZero,
     K,
     Not,
+    Scaled,
     Threshold,
     TSum,
     atoms_of,
@@ -57,6 +58,18 @@ class TestConstruction:
     def test_atoms_of(self):
         assert atoms_of(implies(K(p), B(And(q, p)))) == frozenset({"p", "q"})
         assert atoms_of(TOP) == frozenset()
+
+    def test_exact_terms_only(self):
+        # prob(p, 0.1) would weigh P(p) by 3602879701896397/2**55
+        for inexact in (0.1, True):
+            for build in (Const, lambda v: Scaled(v, p),
+                          lambda v: prob(p, v)):
+                with pytest.raises(TypeError, match=repr(inexact)):
+                    build(inexact)
+        for value in (Fraction(1, 10), "1/10"):
+            assert Const(value).value == prob(p, value).coeff \
+                == Fraction(1, 10)
+        assert Const(2).value == 2
 
 
 class TestThreshold:
