@@ -6,7 +6,9 @@ consistency, strong commitment, and the counting-transfer family; the
 reduced variant drops the two schemes that the added ones make redundant.
 Axiom lines are verified by first-order structural matching against scheme
 templates, derivations line by line against the two rules (detachment and
-knowledge necessitation).
+knowledge necessitation).  An explicit substitution on an axiom line is
+checked against the match: it must bind each metavariable of the template
+to the formula matched there, and extra bindings are ignored.
 
 Classical lines are matched against a fixed finite basis:
 
@@ -88,22 +90,6 @@ def match_template(template: Formula, formula: Formula,
             return None
         return match_template(template.right, formula.right, subst)
     return None
-
-
-def apply_substitution(template: Formula, subst: dict) -> Formula:
-    if isinstance(template, Meta):
-        # left unbound, it stays a Meta, which no parsed line contains
-        return subst.get(template.name, template)
-    if isinstance(template, (Top, Atom)):
-        return template
-    if isinstance(template, Not):
-        return Not(apply_substitution(template.sub, subst))
-    if isinstance(template, K):
-        return K(apply_substitution(template.sub, subst))
-    if isinstance(template, B):
-        return B(apply_substitution(template.sub, subst))
-    return And(apply_substitution(template.left, subst),
-               apply_substitution(template.right, subst))
 
 
 _P, _Q, _R = Meta("phi"), Meta("psi"), Meta("chi")
@@ -263,7 +249,8 @@ def check_derivation(derivation: Derivation, theory: str,
                      cl_oracle: bool = False) -> CheckResult:
     """Verify each line against the named theory.
 
-    Axiom lines must match a scheme the theory contains; detachment needs
+    Axiom lines must match a scheme the theory contains, and agree with
+    the match where they give a substitution; detachment needs
     an earlier line that is structurally the implication from the other
     premise to the current line; necessitation needs the current line to
     be K of an earlier line.  With the oracle flag, classical axiom lines
@@ -279,15 +266,13 @@ def check_derivation(derivation: Derivation, theory: str,
                                                             schemes):
                 return CheckResult(False, no,
                                    f"scheme {just.scheme} not in {theory}")
-            if just.subst is not None and just.scheme != "CL":
-                template = scheme_template(just.scheme)
-                if template is None or \
-                        apply_substitution(template,
-                                           dict(just.subst)) != formula:
-                    return CheckResult(False, no,
-                                       "substitution does not produce line")
-                continue
-            if match_axiom(formula, just.scheme) is not None:
+            match = match_axiom(formula, just.scheme)
+            if just.subst is not None and just.scheme != "CL" and (
+                    match is None
+                    or not match.items() <= dict(just.subst).items()):
+                return CheckResult(False, no,
+                                   "substitution does not produce line")
+            if match is not None:
                 continue
             if just.scheme == "CL" and cl_oracle and is_tautology(formula):
                 continue

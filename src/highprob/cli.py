@@ -228,11 +228,15 @@ def _report_payload(frame: Frame, report: PropertyReport) -> dict:
 
 def _parse_formula(text: str):
     """The formula, and whether the modal parser (tried first) accepted
-    it rather than the probability-language one."""
+    it rather than the probability-language one.  If both fail, the one
+    that read further, or else the modal one, gives the error."""
     try:
         return parse_kb(text), True
-    except FormulaSyntaxError:
-        return parse_l(text), False
+    except FormulaSyntaxError as modal:
+        try:
+            return parse_l(text), False
+        except FormulaSyntaxError as prob:
+            raise prob if prob.offset > modal.offset else modal from None
 
 
 def _threshold(text: str) -> Threshold:

@@ -29,6 +29,8 @@ ZERO = Fraction(0)
 def exact(value) -> Fraction:
     """value as a Fraction.  A float is refused because it carries a
     binary fraction, and a bool because it would pass for an int."""
+    if type(value) is Fraction:
+        return value
     if isinstance(value, (float, bool)):
         raise TypeError(f"{value!r} is not exact: give an int, a Fraction "
                         f"or a \"p/q\" string")

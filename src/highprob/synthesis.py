@@ -194,66 +194,53 @@ def lp_feasible(constraints: Iterable[LinearConstraint],
     variables = sorted({v for con in constraints
                         for v, _ in con.coefficients} | set(positivity))
 
-    # columns: u_x, v_x per variable (x = u - v), then eps, then slacks
+    # The phase-1 tableau: one full row per constraint, per strictly
+    # positive variable, and for the cap eps <= 1 that bounds phase 2,
+    # written -eps >= -1 as a strict row with no variables.  Columns: u_x
+    # and v_x at 2i and 2i + 1 for the i-th variable x = u_x - v_x; eps at
+    # 2n (-1 in strict rows); one slack per inequality in row order (-1);
+    # one artificial per row (1), set after a negative bound is negated.
     upos = {x: 2 * i for i, x in enumerate(variables)}
-    uneg = {x: 2 * i + 1 for i, x in enumerate(variables)}
     eps = 2 * len(variables)
-    ncols = eps + 1
-
-    raw_rows = []  # (coeff list over current ncols, relation, bound)
-    for con in constraints:
-        row = [_ZERO] * ncols
-        for v, q in con.coefficients:
-            row[upos[v]] += q
-            row[uneg[v]] -= q
-        if con.relation == ">":
-            row[eps] -= _ONE
-        raw_rows.append((row, con.relation, con.bound))
-    for v in positivity:
-        row = [_ZERO] * ncols
-        row[upos[v]] += _ONE
-        row[uneg[v]] -= _ONE
-        row[eps] -= _ONE
-        raw_rows.append((row, ">", _ZERO))
-    cap = [_ZERO] * ncols
-    cap[eps] = -_ONE
-    raw_rows.append((cap, ">=", -_ONE))  # eps <= 1 keeps phase 2 bounded
-
-    # slack columns for the inequalities
-    n_ineq = sum(1 for _, rel, _ in raw_rows if rel != "=")
-    total = ncols + n_ineq
+    specs = [(con.coefficients, con.relation, con.bound)
+             for con in constraints]
+    specs += [(((v, _ONE),), ">", _ZERO) for v in positivity]
+    specs.append(((), ">", -_ONE))
+    m = len(specs)
+    total = eps + 1 + sum(rel != "=" for _, rel, _ in specs)
     rows, rhs = [], []
-    si = ncols
-    for row, rel, bound in raw_rows:
-        full = row + [_ZERO] * n_ineq
+    si = eps + 1
+    for i, (coefficients, rel, bound) in enumerate(specs):
+        row = [_ZERO] * (total + m)
+        for v, q in coefficients:
+            row[upos[v]] += q
+            row[upos[v] + 1] -= q
+        if rel == ">":
+            row[eps] = -_ONE
         if rel != "=":
-            full[si] = -_ONE
+            row[si] = -_ONE
             si += 1
-        b = Fraction(bound)
-        if b < 0:
-            full = [-a for a in full]
-            b = -b
-        rows.append(full)
-        rhs.append(b)
+        if bound < 0:
+            row = [-a for a in row]
+            bound = -bound
+        row[total + i] = _ONE
+        rows.append(row)
+        rhs.append(bound)
 
-    # phase 1: artificial variables, drive their sum to zero
-    m = len(rows)
-    art0 = total
-    for i in range(m):
-        rows[i] = rows[i] + [_ONE if j == i else _ZERO for j in range(m)]
-    basis = [art0 + i for i in range(m)]
+    # phase 1: drive the artificials' sum to zero
+    basis = [total + i for i in range(m)]
     pivots = _simplex(rows, rhs, basis, [_ZERO] * total + [-_ONE] * m)
     if rhs[m] != 0:  # the artificials' optimal sum
         return LPResult(False, pivots=pivots)
 
     # pivot remaining zero-level artificials out of the basis
     for i in range(m):
-        if basis[i] >= art0:
+        if basis[i] >= total:
             c = next((j for j in range(total) if rows[i][j] != 0), None)
             if c is not None:
                 _pivot(rows, rhs, basis, i, c)
                 pivots += 1
-    keep = [i for i in range(m) if basis[i] < art0]
+    keep = [i for i in range(m) if basis[i] < total]
     rows = [rows[i][:total] for i in keep]
     rhs = [rhs[i] for i in keep]
     basis = [basis[i] for i in keep]
@@ -268,7 +255,8 @@ def lp_feasible(constraints: Iterable[LinearConstraint],
     slack = values[eps]
     if slack <= 0:
         return LPResult(False, pivots=pivots)
-    assignment = {x: values[upos[x]] - values[uneg[x]] for x in variables}
+    assignment = {x: values[upos[x]] - values[upos[x] + 1]
+                  for x in variables}
     for con in constraints:
         if not con.satisfied_by(assignment):
             raise RuntimeError(f"solver returned a bad assignment for {con}")

@@ -2,9 +2,9 @@ import pytest
 
 from highprob.calculus import (
     CL_BASIS,
+    CheckResult,
     Meta,
     THEORIES,
-    apply_substitution,
     check_derivation,
     is_tautology,
     match_axiom,
@@ -12,7 +12,6 @@ from highprob.calculus import (
     modal_leaves,
     parse_proof,
     scheme_template,
-    scott_template,
 )
 from highprob.corpus import PROOF_CORPUS
 from highprob.errors import ProofFormatError
@@ -21,9 +20,9 @@ from highprob.formula import (
     Atom,
     B,
     K,
-    Not,
     implies,
     parse_kb,
+    scott_instance,
 )
 
 p, q = Atom("p"), Atom("q")
@@ -36,12 +35,6 @@ class TestMatching:
         assert match_template(implies(Meta("x"), Meta("x")),
                               implies(p, q)) is None
 
-    def test_substitution_round_trip(self):
-        t = implies(K(Meta("x")), B(And(Meta("x"), Meta("y"))))
-        subst = {"x": Not(p), "y": q}
-        inst = apply_substitution(t, subst)
-        assert match_template(t, inst) == subst
-
     def test_match_axiom(self):
         assert match_axiom(parse_kb("B p -> K B p"), "Ap") == {"phi": p}
         assert match_axiom(parse_kb("~B p -> K ~B p"), "An") == {"phi": p}
@@ -51,9 +44,7 @@ class TestMatching:
         assert match_axiom(parse_kb("B p -> <B> p"), "D") == {"phi": p}
 
     def test_scott_schemes_by_index(self):
-        inst = apply_substitution(scott_template(2),
-                                  {"phi1": p, "phi2": q,
-                                   "psi1": q, "psi2": p})
+        inst = scott_instance([p, q], [q, p])
         assert match_axiom(inst, "Scott2") is not None
         assert match_axiom(inst, "Scott1") is None
         assert scheme_template("Scott0") is None
@@ -147,6 +138,17 @@ class TestChecking:
     def test_rejects_bad_substitution(self):
         d = parse_proof("1. K p -> B q ; AX Ap {phi := p}\n")
         assert not check_derivation(d, "kb").accepted
+
+    def test_substitution_checked_against_the_match(self):
+        # extra bindings are ignored, a different binding is refused, and
+        # a metavariable occurring twice needs its binding only once
+        extra = parse_proof("1. B p -> K B p ; AX Ap {phi := p, psi := q}\n")
+        assert check_derivation(extra, "kb-half").accepted
+        wrong = parse_proof("1. B p -> K B p ; AX Ap {phi := q}\n")
+        assert check_derivation(wrong, "kb-half") == CheckResult(
+            False, 1, "substitution does not produce line")
+        twice = parse_proof("1. B p -> <B> p ; AX D {phi := p}\n")
+        assert check_derivation(twice, "kb-half").accepted
 
     def test_theory_gating(self):
         bf = parse_proof("1. ~B ~true ; AX BF\n")

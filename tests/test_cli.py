@@ -437,6 +437,18 @@ class TestErrorContract:
         assert out == "RejectedAt line 1: substitution does not produce " \
                       "line\n"
 
+    def test_formula_error_from_the_parser_that_read_further(self, capsys):
+        # both parsers refuse each formula: the modal one reads 'B (h1 &'
+        # to its end, the probability one reads its formula up to 'B'
+        def error(formula):
+            return self.assert_error(capsys, "eval", "--model", "horses3",
+                                     "--world", "w1", "--formula", formula,
+                                     "--threshold", "1/2")
+        assert error("B (h1 &") == \
+            "error: unexpected end of input at offset 7\n"
+        assert error("P(h1) >= 1/2 & B h1") == \
+            "error: unexpected B at offset 15\n"
+
     def test_scott_scheme_past_the_expansion_guard(self, capsys, tmp_path):
         # kb-half has every Scott_m, but m = 17 would expand past the
         # guard: an error; kb has none of them: a rejected line

@@ -7,6 +7,7 @@ from highprob.core import (
     Frame,
     bayesian_update,
     conditional_probability,
+    exact,
     make_neighborhood_model,
     make_probability_model,
     minimal_antichain,
@@ -119,6 +120,11 @@ class TestProbabilityModel:
         for c in (Fraction(3, 5), "3/5"):
             assert non_consequence_model(c).weights == (
                 Fraction(1, 5), Fraction(3, 5), Fraction(1, 5))
+
+    def test_exact_returns_a_fraction_as_it_is(self):
+        q = Fraction(2, 3)
+        assert exact(q) is q
+        assert type(exact(2)) is Fraction and exact("2/3") == q
 
     def test_conditional_probability(self):
         m = horse_model()
