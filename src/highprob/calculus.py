@@ -31,8 +31,9 @@ import re
 from dataclasses import dataclass
 from itertools import product
 
-from .errors import ProofFormatError
+from .errors import ExpansionTooLarge, ProofFormatError
 from .formula import (
+    DEFAULT_EXPANSION_GUARD,
     And,
     Atom,
     B,
@@ -69,27 +70,18 @@ def match_template(template: Formula, formula: Formula,
     if subst is None:
         subst = {}
     if isinstance(template, Meta):
-        bound = subst.get(template.name)
-        if bound is None:
-            subst[template.name] = formula
-            return subst
+        bound = subst.setdefault(template.name, formula)
         return subst if bound == formula else None
-    if isinstance(template, Top):
-        return subst if isinstance(formula, Top) else None
-    if isinstance(template, Atom):
-        return subst if template == formula else None
-    if isinstance(template, Not) and isinstance(formula, Not):
-        return match_template(template.sub, formula.sub, subst)
-    if isinstance(template, K) and isinstance(formula, K):
-        return match_template(template.sub, formula.sub, subst)
-    if isinstance(template, B) and isinstance(formula, B):
-        return match_template(template.sub, formula.sub, subst)
-    if isinstance(template, And) and isinstance(formula, And):
+    if type(template) is not type(formula):
+        return None
+    if isinstance(template, And):
         subst = match_template(template.left, formula.left, subst)
         if subst is None:
             return None
         return match_template(template.right, formula.right, subst)
-    return None
+    if isinstance(template, (Not, K, B)):
+        return match_template(template.sub, formula.sub, subst)
+    return subst if template == formula else None
 
 
 _P, _Q, _R = Meta("phi"), Meta("psi"), Meta("chi")
@@ -120,25 +112,25 @@ SCHEME_TEMPLATES: dict[str, Formula] = {
                   B(or_(_P, _Q))),
 }
 
-_SCOTT_RE = re.compile(r"Scott(\d+)$")
-
-
-def scott_template(m: int) -> Formula:
-    phis = [Meta(f"phi{i + 1}") for i in range(m)]
-    psis = [Meta(f"psi{i + 1}") for i in range(m)]
-    return scott_instance(phis, psis)
+_SCOTT_RE = re.compile(r"Scott([0-9]+)$")
 
 
 def scheme_template(scheme: str) -> Formula | None:
-    if scheme in SCHEME_TEMPLATES:
-        return SCHEME_TEMPLATES[scheme]
+    """The scheme's template, or None for an unknown name or Scott0.
+
+    Scott_m is refused past the expansion guard before any of its 2m
+    metavariables is made."""
     hit = _SCOTT_RE.match(scheme)
-    if hit:
-        m = int(hit.group(1))
-        if m < 1:
-            return None
-        return scott_template(m)
-    return None
+    if hit is None:
+        return SCHEME_TEMPLATES.get(scheme)
+    m = int(hit.group(1))
+    if m > DEFAULT_EXPANSION_GUARD:
+        raise ExpansionTooLarge(
+            f"m={m} exceeds expansion guard {DEFAULT_EXPANSION_GUARD}")
+    if m < 1:
+        return None
+    return scott_instance([Meta(f"phi{i}") for i in range(1, m + 1)],
+                          [Meta(f"psi{i}") for i in range(1, m + 1)])
 
 
 def match_axiom(formula: Formula, scheme: str) -> dict | None:
@@ -205,21 +197,16 @@ def is_tautology(formula: Formula) -> bool:
 # ---------------------------------------------------------------------------
 # Theories and derivations
 
+# kb is S5 knowledge with the bridge schemes; kb-half adds D, SC and every
+# Scott_m; kb-half-minus drops BF and KBM, which the corpus derives there
+_KB = frozenset({"CL", "KS5_K", "KS5_T", "KS5_4", "KS5_5",
+                 "BF", "N", "Ap", "An", "KBM"})
+_KB_HALF = _KB | {"D", "SC", "Scott"}
 THEORIES: dict[str, frozenset[str]] = {
-    "kb": frozenset({"CL", "KS5_K", "KS5_T", "KS5_4", "KS5_5",
-                     "BF", "N", "Ap", "An", "KBM"}),
-    "kb-half": frozenset({"CL", "KS5_K", "KS5_T", "KS5_4", "KS5_5",
-                          "BF", "N", "Ap", "An", "KBM",
-                          "D", "SC", "Scott"}),
-    "kb-half-minus": frozenset({"CL", "KS5_K", "KS5_T", "KS5_4", "KS5_5",
-                                "N", "Ap", "An", "D", "SC", "Scott"}),
+    "kb": _KB,
+    "kb-half": _KB_HALF,
+    "kb-half-minus": _KB_HALF - {"BF", "KBM"},
 }
-
-
-def _scheme_in_theory(scheme: str, theory: frozenset[str]) -> bool:
-    if _SCOTT_RE.match(scheme):
-        return "Scott" in theory
-    return scheme in theory
 
 
 @dataclass(frozen=True)
@@ -233,9 +220,6 @@ class Justification:
 @dataclass(frozen=True)
 class Derivation:
     lines: tuple[tuple[Formula, Justification], ...]
-
-    def conclusion(self) -> Formula:
-        return self.lines[-1][0]
 
 
 @dataclass(frozen=True)
@@ -262,8 +246,8 @@ def check_derivation(derivation: Derivation, theory: str,
     lines = derivation.lines
     for no, (formula, just) in enumerate(lines, start=1):
         if just.rule == "AX":
-            if just.scheme is None or not _scheme_in_theory(just.scheme,
-                                                            schemes):
+            if just.scheme is None or ("Scott" if _SCOTT_RE.match(
+                    just.scheme) else just.scheme) not in schemes:
                 return CheckResult(False, no,
                                    f"scheme {just.scheme} not in {theory}")
             match = match_axiom(formula, just.scheme)
@@ -313,22 +297,11 @@ def _parse_subst(text: str):
     if not inner:
         return ()
     pairs = []
-    depth = 0
-    start = 0
-    chunks = []
-    for i, ch in enumerate(inner):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif ch == "," and depth == 0:
-            chunks.append(inner[start:i])
-            start = i + 1
-    chunks.append(inner[start:])
-    for chunk in chunks:
-        if ":=" not in chunk:
+    # no formula holds a comma, so each one ends a binding
+    for chunk in inner.split(","):
+        name, sep, body_text = chunk.partition(":=")
+        if not sep:
             raise ProofFormatError(f"malformed binding {chunk!r}")
-        name, body_text = chunk.split(":=", 1)
         pairs.append((name.strip(), parse_kb(body_text.strip())))
     return tuple(pairs)
 
@@ -359,20 +332,16 @@ def parse_proof(text: str) -> Derivation:
             scheme = parts[0]
             subst = _parse_subst(parts[1]) if len(parts) > 1 else None
             just = Justification("AX", scheme=scheme, subst=subst)
-        elif rule == "MP":
-            try:
-                i, j = (int(t) for t in rest.split())
-            except ValueError as exc:
-                raise ProofFormatError(f"MP needs two indices: {raw!r}") \
-                    from exc
-            just = Justification("MP", premises=(i, j))
         else:
+            arity, what = (2, "two indices") if rule == "MP" \
+                else (1, "one index")
             try:
-                (i,) = (int(t) for t in rest.split())
-            except ValueError as exc:
-                raise ProofFormatError(f"MN needs one index: {raw!r}") \
-                    from exc
-            just = Justification("MN", premises=(i,))
+                premises = tuple(int(t) for t in rest.split())
+            except ValueError:
+                premises = ()
+            if len(premises) != arity:
+                raise ProofFormatError(f"{rule} needs {what}: {raw!r}")
+            just = Justification(rule, premises=premises)
         lines.append((formula, just))
     if not lines:
         raise ProofFormatError("empty proof")

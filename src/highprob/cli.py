@@ -25,7 +25,7 @@ import sys
 from fractions import Fraction
 
 from . import corpus
-from .calculus import check_derivation, parse_proof
+from .calculus import THEORIES, check_derivation, parse_proof
 from .core import (
     EventSet,
     Frame,
@@ -152,7 +152,7 @@ def _weight(value, world: str) -> Fraction:
         if isinstance(value, str) else Fraction(value)
 
 
-_RATIONAL = re.compile(r"\s*[+-]?(?:\d+/\d+|\d+\.?\d*|\.\d+)\s*")
+_RATIONAL = re.compile(r"\s*[+-]?(?:\d+/0*[1-9]\d*|\d+\.?\d*|\.\d+)\s*")
 
 
 def _rational(text: str, what: str) -> Fraction:
@@ -597,8 +597,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_countermodel)
 
     p = sub.add_parser("prove", help="check a derivation file")
-    p.add_argument("--theory", required=True,
-                   choices=("kb", "kb-half", "kb-half-minus"))
+    p.add_argument("--theory", required=True, choices=THEORIES)
     p.add_argument("--proof", required=True)
     p.add_argument("--cl-oracle", action="store_true",
                    help="allow truth-table justification of classical lines")

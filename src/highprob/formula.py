@@ -305,7 +305,7 @@ _TOKEN_SPECS = [
     ("LT", r"<"),
     ("GT", r">"),
     ("EQ", r"="),
-    ("RAT", r"-?\d+(?:/\d+)?"),
+    ("RAT", r"-?\d+(?:/0*[1-9]\d*)?"),
     ("PLUS", r"\+"),
     ("STAR", r"\*"),
     ("NOT", r"~"),

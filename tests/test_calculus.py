@@ -53,6 +53,21 @@ class TestMatching:
         with pytest.raises(ExpansionTooLarge):
             scheme_template("Scott17")  # template itself would explode
 
+    def test_scott_index_refused_before_any_metavariable(self, monkeypatch):
+        # the template of Scott_m holds 2m metavariables: past the guard
+        # none is made, however large m is
+        from highprob import calculus
+        from highprob.errors import ExpansionTooLarge
+        made = []
+        monkeypatch.setattr(calculus, "Meta",
+                            lambda name: made.append(name) or Meta(name))
+        with pytest.raises(ExpansionTooLarge,
+                           match=r"^m=200000 exceeds expansion guard 4$"):
+            scheme_template("Scott200000")
+        assert made == []
+        scheme_template("Scott2")
+        assert made == ["phi1", "phi2", "psi1", "psi2"]
+
     def test_cl_basis_instances(self):
         got = match_axiom(parse_kb("p -> (q -> p)"), "CL")
         assert got == {"phi": p, "psi": q}
@@ -95,7 +110,7 @@ class TestProofParsing:
 3. K (B true) ; MN 2
 """)
         assert len(d.lines) == 3
-        assert d.conclusion() == K(B(parse_kb("true")))
+        assert d.lines[-1][0] == K(B(parse_kb("true")))
         just = d.lines[0][1]
         assert just.rule == "AX" and just.scheme == "KS5_K"
 
@@ -181,3 +196,25 @@ class TestChecking:
 
     def test_theory_names(self):
         assert set(THEORIES) == {"kb", "kb-half", "kb-half-minus"}
+
+    def test_theories_are_the_papers_sets(self):
+        # S5 knowledge with the bridge schemes; KB-half adds D, SC and
+        # Scott's family; its reduced form drops BF and KBM
+        assert THEORIES["kb"] == {"CL", "KS5_K", "KS5_T", "KS5_4", "KS5_5",
+                                  "BF", "N", "Ap", "An", "KBM"}
+        assert THEORIES["kb-half"] == {
+            "CL", "KS5_K", "KS5_T", "KS5_4", "KS5_5",
+            "BF", "N", "Ap", "An", "KBM", "D", "SC", "Scott"}
+        assert THEORIES["kb-half-minus"] == {
+            "CL", "KS5_K", "KS5_T", "KS5_4", "KS5_5",
+            "N", "Ap", "An", "D", "SC", "Scott"}
+
+    def test_scott_index_in_ascii_digits_only(self):
+        # an Arabic-Indic three is not the index 3
+        line = "K ((~p & ~q) | (~p & q) | (p & q)) & B p -> B q"
+        assert check_derivation(parse_proof(f"1. {line} ; AX Scott1\n"),
+                                "kb-half").accepted
+        res = check_derivation(
+            parse_proof(f"1. {line} ; AX Scott\u0663\n"), "kb-half")
+        assert res == CheckResult(False, 1,
+                                  "scheme Scott\u0663 not in kb-half")

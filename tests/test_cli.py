@@ -462,6 +462,44 @@ class TestErrorContract:
         assert code == 1 and err == ""
         assert out == "RejectedAt line 1: scheme Scott17 not in kb\n"
 
+    def test_threshold_with_a_zero_denominator(self, capsys):
+        # refused as text before Fraction sees it, which named neither
+        # the field nor the input: 'error: Fraction(1, 0)'
+        for flags in (["eval", "--model", "horses3", "--world", "w1",
+                       "--formula", "h1", "--threshold"],
+                      ["check-model", "--model", "walley-fine",
+                       "--conjectured"],
+                      ["countermodel", "--formula", "p", "--prob",
+                       "--threshold"]):
+            for bad in ("1/0", "2/0", "0/00"):
+                err = self.assert_error(capsys, *flags, bad)
+                assert err == f"error: threshold must be p/q or a plain " \
+                              f"decimal, not '{bad}'\n"
+        # a leading zero in the denominator is still fine
+        argv = ("eval", "--model", "horses3", "--world", "w1", "--formula",
+                "B h1", "--threshold")
+        assert run(capsys, *argv, "1/05") == run(capsys, *argv, "1/5")
+
+    def test_weight_with_a_zero_denominator(self, capsys, tmp_path):
+        err = self.assert_bad_model(capsys, tmp_path, dict(
+            PROB_DOC, weights={"w1": "1/0", "w2": "1"}))
+        assert err == "error: weight of 'w1' must be p/q or a plain " \
+                      "decimal, not '1/0'\n"
+
+    def test_formula_with_a_zero_denominator(self, capsys):
+        def error(formula):
+            return self.assert_error(capsys, "eval", "--model", "horses3",
+                                     "--world", "w1", "--formula", formula,
+                                     "--threshold", "1/2")
+        assert error("P(h1) >= 0/0") == \
+            "error: unexpected character '/' at offset 10\n"
+        assert error("P(h1) >= 1/0") == \
+            "error: unexpected character '/' at offset 10\n"
+        code, out, _ = run(capsys, "eval", "--model", "horses3", "--world",
+                           "w1", "--formula", "P(h1) >= 1/05",
+                           "--threshold", "1/2")
+        assert (code, out) == (0, "true\n")
+
     def test_weight_in_exponent_notation(self, capsys, tmp_path):
         err = self.assert_bad_model(capsys, tmp_path, dict(
             PROB_DOC, weights={"w1": "1e2000000", "w2": "1"}))
