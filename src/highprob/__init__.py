@@ -11,7 +11,6 @@ from .core import (
     Frame,
     NeighborhoodModel,
     ProbabilityModel,
-    Rational,
     bayesian_update,
     conditional_probability,
     make_neighborhood_model,

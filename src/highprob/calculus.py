@@ -31,6 +31,7 @@ import re
 from dataclasses import dataclass
 from itertools import product
 
+from .core import long_digit_run
 from .errors import ExpansionTooLarge, ProofFormatError
 from .formula import (
     DEFAULT_EXPANSION_GUARD,
@@ -123,10 +124,11 @@ def scheme_template(scheme: str) -> Formula | None:
     hit = _SCOTT_RE.match(scheme)
     if hit is None:
         return SCHEME_TEMPLATES.get(scheme)
-    m = int(hit.group(1))
-    if m > DEFAULT_EXPANSION_GUARD:
+    index = hit.group(1).lstrip("0") or "0"
+    if long_digit_run(index) or int(index) > DEFAULT_EXPANSION_GUARD:
         raise ExpansionTooLarge(
-            f"m={m} exceeds expansion guard {DEFAULT_EXPANSION_GUARD}")
+            f"m={index} exceeds expansion guard {DEFAULT_EXPANSION_GUARD}")
+    m = int(index)
     if m < 1:
         return None
     return scott_instance([Meta(f"phi{i}") for i in range(1, m + 1)],
@@ -285,7 +287,7 @@ def check_derivation(derivation: Derivation, theory: str,
 # Proof file format
 
 _LINE_RE = re.compile(
-    r"^\s*(\d+)\.\s*(.*?)\s*;\s*(AX|MP|MN)\b\s*(.*?)\s*$")
+    r"^\s*([0-9]+)\.\s*(.*?)\s*;\s*(AX|MP|MN)\b\s*(.*?)\s*$")
 _SUBST_RE = re.compile(r"^\{(.*)\}$", re.S)
 
 
@@ -320,7 +322,7 @@ def parse_proof(text: str) -> Derivation:
         if not hit:
             raise ProofFormatError(f"malformed proof line: {raw!r}")
         no, formula_text, rule, rest = hit.groups()
-        if int(no) != expected:
+        if long_digit_run(no) or int(no) != expected:
             raise ProofFormatError(
                 f"expected line number {expected}, found {no}")
         expected += 1
@@ -335,13 +337,11 @@ def parse_proof(text: str) -> Derivation:
         else:
             arity, what = (2, "two indices") if rule == "MP" \
                 else (1, "one index")
-            try:
-                premises = tuple(int(t) for t in rest.split())
-            except ValueError:
-                premises = ()
-            if len(premises) != arity:
+            indices = rest.split()
+            if len(indices) != arity or long_digit_run(rest) or not all(
+                    re.fullmatch("[0-9]+", t) for t in indices):
                 raise ProofFormatError(f"{rule} needs {what}: {raw!r}")
-            just = Justification(rule, premises=premises)
+            just = Justification(rule, premises=tuple(map(int, indices)))
         lines.append((formula, just))
     if not lines:
         raise ProofFormatError("empty proof")

@@ -31,6 +31,7 @@ from .core import (
     Frame,
     NeighborhoodModel,
     ProbabilityModel,
+    long_digit_run,
     make_neighborhood_model,
     make_probability_model,
 )
@@ -152,7 +153,8 @@ def _weight(value, world: str) -> Fraction:
         if isinstance(value, str) else Fraction(value)
 
 
-_RATIONAL = re.compile(r"\s*[+-]?(?:\d+/0*[1-9]\d*|\d+\.?\d*|\.\d+)\s*")
+_RATIONAL = re.compile(
+    r"\s*[+-]?(?:[0-9]+/0*[1-9][0-9]*|[0-9]+\.?[0-9]*|\.[0-9]+)\s*")
 
 
 def _rational(text: str, what: str) -> Fraction:
@@ -167,8 +169,7 @@ def _rational(text: str, what: str) -> Fraction:
     if not _RATIONAL.fullmatch(text):
         raise HighProbError(f"{what} must be p/q or a plain decimal, "
                             f"not {text!r}")
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if limit and any(len(run) > limit for run in re.findall(r"\d+", text)):
+    if limit := long_digit_run(text):
         raise HighProbError(f"{what} has a run of more than {limit} digits")
     return Fraction(text)
 

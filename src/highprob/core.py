@@ -9,6 +9,8 @@ All types are immutable after construction.
 
 from __future__ import annotations
 
+import re
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping
@@ -20,8 +22,6 @@ from .errors import (
     WeightsNotNormalized,
     ZeroOrNegativeWeight,
 )
-
-Rational = Fraction
 
 ZERO = Fraction(0)
 
@@ -35,6 +35,17 @@ def exact(value) -> Fraction:
         raise TypeError(f"{value!r} is not exact: give an int, a Fraction "
                         f"or a \"p/q\" string")
     return Fraction(value)
+
+
+def long_digit_run(text: str) -> int:
+    """The most digits int() reads (Python 3.10.7 and later) if a run of
+    ASCII digits in text is longer, else 0: int() would refuse the run
+    naming an interpreter setting, not the input."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and len(text) > limit and re.search(
+            "[0-9]{%d}" % (limit + 1), text):
+        return limit
+    return 0
 
 
 def _members(bits: int) -> list[int]:
@@ -206,11 +217,6 @@ class Frame:
     def names(self, event: EventSet) -> tuple[str, ...]:
         return tuple(self.worlds[i] for i in event.indices())
 
-    def same_frame(self, other: "Frame") -> bool:
-        return (self.worlds == other.worlds
-                and self.partition == other.partition
-                and self.valuation == other.valuation)
-
 
 @dataclass(frozen=True)
 class ProbabilityModel:
@@ -218,9 +224,6 @@ class ProbabilityModel:
 
     frame: Frame
     weights: tuple[Fraction, ...]
-
-    def weight(self, world: str) -> Fraction:
-        return self.weights[self.frame.windex(world)]
 
     def weight_map(self) -> dict[str, Fraction]:
         return {w: self.weights[i] for i, w in enumerate(self.frame.worlds)}
@@ -270,20 +273,13 @@ def bayesian_update(model: ProbabilityModel, event: EventSet
     if event.is_empty():
         raise EmptyUpdate("cannot update on the empty event")
     frame = model.frame
-    keep = event.indices()
-    worlds = tuple(frame.worlds[i] for i in keep)
-    remap = {old: new for new, old in enumerate(keep)}
-    cells = []
-    for cell in frame.partition:
-        cut = cell.intersection(event)
-        if not cut.is_empty():
-            cells.append(EventSet.of((remap[i] for i in cut.indices()),
-                                     len(worlds)))
-    new_frame = Frame(worlds, tuple(cells),
+    worlds = frame.names(event)
+    cells = (frame.names(cell.intersection(event)) for cell in frame.partition)
+    new_frame = Frame(worlds, tuple(cut for cut in cells if cut),
                       {w: frame.valuation[w] for w in worlds})
     total = model.mass(event)
-    new_weights = {frame.worlds[i]: model.weights[i] / total for i in keep}
-    return make_probability_model(new_frame, new_weights)
+    return make_probability_model(new_frame, {
+        frame.worlds[i]: model.weights[i] / total for i in event.indices()})
 
 
 @dataclass(frozen=True)

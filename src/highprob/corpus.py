@@ -19,6 +19,12 @@ from .core import (
 )
 from .synthesis import ComparativeRelation
 
+
+def _event(worlds: tuple[str, ...], letters: str) -> EventSet:
+    """The event of the one-letter worlds named in letters."""
+    return EventSet.of((worlds.index(ch) for ch in letters), len(worlds))
+
+
 # ---------------------------------------------------------------------------
 # Horse-racing models
 
@@ -76,17 +82,12 @@ WF_X2_LISTS = ("ace", "bde")
 WF_Y2_LISTS = ("abef", "cdef")
 
 
-def _wf_event(letters: str) -> EventSet:
-    return EventSet.of((WF_WORLDS.index(ch) for ch in letters),
-                       len(WF_WORLDS))
-
-
 def walley_fine_model() -> NeighborhoodModel:
     """One seven-world cell whose neighborhoods are generated by seven
     three-element sets; each world lies in exactly three of them."""
     frame = Frame(WF_WORLDS, (WF_WORLDS,), {w: {w} for w in WF_WORLDS})
     return make_neighborhood_model(
-        frame, ((tuple(_wf_event(s) for s in WF_X_LISTS)),))
+        frame, ((tuple(_event(WF_WORLDS, s) for s in WF_X_LISTS)),))
 
 
 def walley_fine_witness() -> tuple[tuple[EventSet, ...],
@@ -96,8 +97,8 @@ def walley_fine_witness() -> tuple[tuple[EventSet, ...],
     world lies in three X's but four Y's.  It is not the shortest: the
     model already fails Scott's condition with m = 2 (see
     walley_fine_scott2_witness)."""
-    return (tuple(_wf_event(s) for s in WF_X_LISTS),
-            tuple(_wf_event(s) for s in WF_Y_LISTS))
+    return (tuple(_event(WF_WORLDS, s) for s in WF_X_LISTS),
+            tuple(_event(WF_WORLDS, s) for s in WF_Y_LISTS))
 
 
 def walley_fine_scott2_witness() -> tuple[tuple[EventSet, ...],
@@ -106,19 +107,14 @@ def walley_fine_scott2_witness() -> tuple[tuple[EventSet, ...],
     {a,c,e} is a generator, the cell-complement {a,c,f,g} of X_2 =
     {b,d,e} holds none, neither Y holds one, and each world lies in at
     least as many Y's as X's."""
-    return (tuple(_wf_event(s) for s in WF_X2_LISTS),
-            tuple(_wf_event(s) for s in WF_Y2_LISTS))
+    return (tuple(_event(WF_WORLDS, s) for s in WF_X2_LISTS),
+            tuple(_event(WF_WORLDS, s) for s in WF_Y2_LISTS))
 
 
 # ---------------------------------------------------------------------------
 # Comparative probability: the five-element counterexample
 
 KPS_WORLDS = ("a", "b", "c", "d", "e")
-
-
-def _kps_event(letters: str) -> EventSet:
-    return EventSet.of((KPS_WORLDS.index(ch) for ch in letters),
-                       len(KPS_WORLDS))
 
 
 KPS_STATEMENTS = (
@@ -135,7 +131,7 @@ def kps_relation() -> ComparativeRelation:
     worlds, so realizing weights would have to satisfy s < s."""
     return ComparativeRelation(
         KPS_WORLDS,
-        tuple((_kps_event(x), rel, _kps_event(y))
+        tuple((_event(KPS_WORLDS, x), rel, _event(KPS_WORLDS, y))
               for x, rel, y in KPS_STATEMENTS))
 
 

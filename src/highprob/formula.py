@@ -20,8 +20,9 @@ import itertools
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 
-from .core import exact
+from .core import exact, long_digit_run
 from .errors import ExpansionTooLarge, FormulaSyntaxError
 
 # ---------------------------------------------------------------------------
@@ -127,23 +128,13 @@ def b_dual(sub: Formula) -> Formula:
 def conj(formulas) -> Formula:
     """Left-nested conjunction; Top for the empty list."""
     formulas = list(formulas)
-    if not formulas:
-        return TOP
-    out = formulas[0]
-    for f in formulas[1:]:
-        out = And(out, f)
-    return out
+    return reduce(And, formulas) if formulas else TOP
 
 
 def disj(formulas) -> Formula:
     """Left-nested disjunction; Bot for the empty list."""
     formulas = list(formulas)
-    if not formulas:
-        return bot()
-    out = formulas[0]
-    for f in formulas[1:]:
-        out = or_(out, f)
-    return out
+    return reduce(or_, formulas) if formulas else bot()
 
 
 def atoms_of(formula: Formula) -> frozenset[str]:
@@ -284,9 +275,6 @@ def scott_instance(phis, psis) -> Formula:
     For m = 1 the dual-belief conjunct block is empty and is omitted.
     """
     phis, psis = list(phis), list(psis)
-    m = len(phis)
-    if m != len(psis) or m < 1:
-        raise ValueError("need equally many phis and psis, at least one each")
     antecedent = [segerberg_expand(phis, psis, "I"), B(phis[0])]
     antecedent.extend(b_dual(phi) for phi in phis[1:])
     return implies(conj(antecedent), disj([B(psi) for psi in psis]))
@@ -305,7 +293,7 @@ _TOKEN_SPECS = [
     ("LT", r"<"),
     ("GT", r">"),
     ("EQ", r"="),
-    ("RAT", r"-?\d+(?:/0*[1-9]\d*)?"),
+    ("RAT", r"-?[0-9]+(?:/0*[1-9][0-9]*)?"),
     ("PLUS", r"\+"),
     ("STAR", r"\*"),
     ("NOT", r"~"),
@@ -342,6 +330,9 @@ def _tokenize(text: str) -> list[_Token]:
             tok = m.group()
             if kind == "IDENT" and tok in ("true", "false"):
                 kind = tok.upper()
+            if kind == "RAT" and (limit := long_digit_run(tok)):
+                raise FormulaSyntaxError(
+                    f"numeral has a run of more than {limit} digits", pos)
             tokens.append(_Token(kind, tok, pos))
         pos = m.end()
     tokens.append(_Token("EOF", "", len(text)))

@@ -27,7 +27,6 @@ from .core import (
     _members,
     _submasks,
     conditional_mass,
-    make_neighborhood_model,
     minimal_antichain,
 )
 from .errors import CellTooLargeForBruteForce, FrameMismatch
@@ -69,15 +68,9 @@ class PropertyReport:
                 return verdict
         raise KeyError(name)
 
-    def names(self) -> tuple[str, ...]:
-        return tuple(key for key, _ in self.verdicts)
-
     @property
     def all_hold(self) -> bool:
         return all(v.holds for _, v in self.verdicts)
-
-    def failures(self) -> tuple[str, ...]:
-        return tuple(key for key, v in self.verdicts if not v.holds)
 
 
 @dataclass(frozen=True)
@@ -581,21 +574,21 @@ def replay_witness(model: NeighborhoodModel, c: Threshold, condition: str,
 def derive_neighborhoods(model: ProbabilityModel, c: Threshold
                          ) -> NeighborhoodModel:
     """The neighborhood system induced by the measure: a subset of a cell
-    is believed exactly when its conditional probability exceeds c."""
+    is believed exactly when its conditional probability exceeds c.  As
+    0 < c < 1, no cell believes the empty set and each believes itself."""
     frame = model.frame
-    gens = []
-    for cell in frame.partition:
-        believed = [x for x in cell.subsets()
-                    if conditional_mass(model, x.bits, cell.bits) > c.value]
-        gens.append(minimal_antichain(believed))
-    return make_neighborhood_model(frame, gens)
+    return NeighborhoodModel(frame, tuple(
+        minimal_antichain(
+            x for x in cell.subsets()
+            if conditional_mass(model, x.bits, cell.bits) > c.value)
+        for cell in frame.partition))
 
 
 def check_agreement(nbhd: NeighborhoodModel, prob: ProbabilityModel,
                     c: Threshold) -> Verdict:
     """X believed iff conditionally more probable than c, for every cell
     and every subset; witness is the first violating (world, X)."""
-    if not nbhd.frame.same_frame(prob.frame):
+    if nbhd.frame != prob.frame:
         raise FrameMismatch("the two models must share one frame")
     frame = nbhd.frame
     for ci, cell in enumerate(frame.partition):

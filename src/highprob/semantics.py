@@ -214,14 +214,6 @@ class CountermodelResult:
     def found(self) -> bool:
         return self.model is not None
 
-    @staticmethod
-    def hit(model, world: str) -> "CountermodelResult":
-        return CountermodelResult(model=model, world=world)
-
-    @staticmethod
-    def none_up_to(bound: str) -> "CountermodelResult":
-        return CountermodelResult(bound=bound)
-
 
 def set_partitions(n: int):
     """Partitions of range(n) as tuples of EventSets, in restricted-growth
@@ -302,21 +294,30 @@ def _at_least_one(name: str, bound: int) -> None:
         raise ValueError(f"{name} must be at least 1, not {bound}")
 
 
+def _first_countermodel(models, extension, bound: str) -> CountermodelResult:
+    """The first model whose extension misses a world, pointed at the
+    first such world; otherwise the exhausted bound."""
+    for model in models:
+        false_at = extension(model).complement()
+        if not false_at.is_empty():
+            return CountermodelResult(
+                model, model.frame.worlds[false_at.indices()[0]])
+    return CountermodelResult(bound=bound)
+
+
 def find_nbhd_countermodel(formula: Formula, max_worlds: int,
                            require_mid_threshold: bool = False
                            ) -> CountermodelResult:
     """First falsifying pointed neighborhood model in enumeration order."""
     _at_least_one("max_worlds", max_worlds)
-    atoms = sorted(atoms_of(formula))
-    for model in enumerate_neighborhood_models(max_worlds, atoms):
-        if require_mid_threshold and not check_mid_threshold(model).all_hold:
-            continue
-        false_at = extension_kb_nbhd(model, formula).complement()
-        if not false_at.is_empty():
-            world = model.frame.worlds[false_at.indices()[0]]
-            return CountermodelResult.hit(model, world)
-    kind = "mid-threshold models" if require_mid_threshold else "models"
-    return CountermodelResult.none_up_to(
+    models = enumerate_neighborhood_models(max_worlds,
+                                           sorted(atoms_of(formula)))
+    kind = "models"
+    if require_mid_threshold:
+        models = (m for m in models if check_mid_threshold(m).all_hold)
+        kind = "mid-threshold models"
+    return _first_countermodel(
+        models, lambda m: extension_kb_nbhd(m, formula),
         f"all {kind} with at most {max_worlds} worlds")
 
 
@@ -375,11 +376,8 @@ def sample_prob_countermodel(formula: Formula, c: Threshold, trials: int,
     _at_least_one("max_worlds", max_worlds)
     rng = random.Random(seed)
     atoms = sorted(atoms_of(formula))
-    for _ in range(trials):
-        model = sample_probability_model(rng, max_worlds, atoms)
-        false_at = extension_kb_prob(model, formula, c).complement()
-        if not false_at.is_empty():
-            world = model.frame.worlds[false_at.indices()[0]]
-            return CountermodelResult.hit(model, world)
-    return CountermodelResult.none_up_to(
+    models = (sample_probability_model(rng, max_worlds, atoms)
+              for _ in range(trials))
+    return _first_countermodel(
+        models, lambda m: extension_kb_prob(m, formula, c),
         f"{trials} random models with at most {max_worlds} worlds")

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from highprob.calculus import check_derivation, parse_proof
 from highprob.cli import main as cli_main
-from highprob.core import conditional_probability
+from highprob.core import conditional_probability, make_neighborhood_model
 from highprob.corpus import (
     PROOF_CORPUS,
     horses_common_prior,
@@ -134,6 +134,9 @@ def test_criteria_5_and_10_agreement_and_dual_lemma():
         formulas = [random_formula(frng, ("p", "q"), 4) for _ in range(50)]
         for c in THRESHOLDS:
             derived = derive_neighborhoods(model, c)
+            # built without make_neighborhood_model's checks, yet passes them
+            assert derived == make_neighborhood_model(model.frame,
+                                                      derived.generators)
             for f in formulas:
                 prob_ext = extension_kb_prob(model, f, c)
                 for w in model.frame.worlds:

@@ -68,6 +68,16 @@ class TestMatching:
         scheme_template("Scott2")
         assert made == ["phi1", "phi2", "psi1", "psi2"]
 
+    def test_scott_index_past_the_int_digit_limit(self):
+        # int() refuses 5,000 digits with a message that names an
+        # interpreter setting; leading zeros are not part of the index
+        from highprob.errors import ExpansionTooLarge
+        with pytest.raises(ExpansionTooLarge,
+                           match=r"^m=9{5000} exceeds expansion guard 4$"):
+            scheme_template("Scott" + "9" * 5000)
+        assert scheme_template("Scott" + "0" * 5000 + "1") \
+            == scheme_template("Scott1")
+
     def test_cl_basis_instances(self):
         got = match_axiom(parse_kb("p -> (q -> p)"), "CL")
         assert got == {"phi": p, "psi": q}
@@ -126,6 +136,22 @@ class TestProofParsing:
                     "1. K p ; AX Ap {phi = p}"):
             with pytest.raises(ProofFormatError):
                 parse_proof(bad)
+
+    def test_numbers_are_ascii_digits(self):
+        # \d and int() also read the digits of other scripts, here the
+        # Arabic-Indic one
+        first = "1. p -> (q -> p) ; AX CL\n"
+        with pytest.raises(ProofFormatError, match="^malformed proof line"):
+            parse_proof("\u0661" + first[1:])
+        with pytest.raises(ProofFormatError, match="^MN needs one index"):
+            parse_proof(first + "2. K (p -> (q -> p)) ; MN \u0661\n")
+        with pytest.raises(ProofFormatError, match="^MP needs two indices"):
+            parse_proof(first + "2. q -> p ; MP 1 \u0661\n")
+
+    def test_line_number_past_the_int_digit_limit(self):
+        with pytest.raises(ProofFormatError,
+                           match="^expected line number 1, found 1{5000}$"):
+            parse_proof("1" * 5000 + ". p ; AX CL\n")
 
 
 class TestChecking:

@@ -1,4 +1,5 @@
 import json
+import sys
 from fractions import Fraction
 
 import pytest
@@ -31,7 +32,7 @@ class TestModelFiles:
         m = horses_cut()
         again = model_from_dict(json.loads(json.dumps(model_to_dict(m))))
         assert isinstance(again, ProbabilityModel)
-        assert again.frame.same_frame(m.frame)
+        assert again.frame == m.frame
         assert again.weights == m.weights
 
     def test_neighborhood_round_trip(self):
@@ -516,6 +517,56 @@ class TestErrorContract:
         err = self.assert_bad_model(capsys, tmp_path, dict(
             PROB_DOC, weights={"w1": "1" * 5000 + "/3", "w2": "1"}))
         assert "'w1'" in err and len(err) < 100
+
+    def test_proof_line_number_in_other_digits(self, capsys, tmp_path):
+        # Arabic-Indic one: \d read it as 1, and the proof was accepted
+        proof = tmp_path / "proof.txt"
+        proof.write_text("\u0661. p -> (q -> p) ; AX CL\n")
+        err = self.assert_error(capsys, "prove", "--theory", "kb",
+                                "--proof", str(proof))
+        assert err == "error: malformed proof line: " \
+                      "'\u0661. p -> (q -> p) ; AX CL'\n"
+
+    def test_proof_premise_in_other_digits(self, capsys, tmp_path):
+        # int() read it as 1, and the proof was accepted
+        proof = tmp_path / "proof.txt"
+        proof.write_text("1. p -> (q -> p) ; AX CL\n"
+                         "2. K (p -> (q -> p)) ; MN \u0661\n")
+        err = self.assert_error(capsys, "prove", "--theory", "kb",
+                                "--proof", str(proof))
+        assert err == "error: MN needs one index: " \
+                      "'2. K (p -> (q -> p)) ; MN \u0661'\n"
+
+    def test_formula_numeral_in_other_digits(self, capsys):
+        # \d read it as 1, and the formula was evaluated
+        err = self.assert_error(capsys, "eval", "--model", "horses3",
+                                "--world", "w1", "--formula",
+                                "P(h1) >= \u0661", "--threshold", "1/2")
+        assert err == "error: unexpected character '\u0661' at offset 9\n"
+
+    def test_threshold_in_other_digits(self, capsys):
+        # \d let the decimal through, and Fraction read it as 1/2
+        err = self.assert_error(capsys, "eval", "--model", "horses3",
+                                "--world", "w1", "--formula", "h1",
+                                "--threshold", "\u0660.\u0665")
+        assert err == "error: threshold must be p/q or a plain decimal, " \
+                      "not '\u0660.\u0665'\n"
+
+    def test_scott_index_past_the_int_digit_limit(self, capsys, tmp_path):
+        # the guard's message, not the interpreter's int conversion limit
+        proof = tmp_path / "proof.txt"
+        proof.write_text("1. p ; AX Scott" + "9" * 5000 + "\n")
+        err = self.assert_error(capsys, "prove", "--theory", "kb-half",
+                                "--proof", str(proof))
+        assert err == f"error: m={'9' * 5000} exceeds expansion guard 4\n"
+
+    def test_numeral_past_the_int_digit_limit(self, capsys):
+        err = self.assert_error(capsys, "eval", "--model", "horses3",
+                                "--world", "w1", "--formula",
+                                "P(h1) >= " + "1" * 5000)
+        limit = sys.get_int_max_str_digits()
+        assert err == f"error: numeral has a run of more than {limit} " \
+                      f"digits at offset 9\n"
 
     def test_formula_nested_too_deep(self, capsys):
         err = self.assert_error(capsys, "eval", "--model", "horses3",

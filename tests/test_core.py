@@ -98,7 +98,7 @@ class TestProbabilityModel:
     def test_one_world(self):
         f = Frame(("w",), (("w",),), {})
         m = make_probability_model(f, {"w": 1})
-        assert m.weight("w") == 1
+        assert m.weight_map() == {"w": 1}
 
     def test_float_and_bool_weights_refused(self):
         # 0.1 + 0.9 as binary fractions sums to 1 + 2**-55, and True is 1
@@ -165,7 +165,7 @@ class TestBayesianUpdate:
         m = horse_model()
         same = bayesian_update(m, EventSet.full(3))
         assert same.weights == m.weights
-        assert same.frame.same_frame(m.frame)
+        assert same.frame == m.frame
         with pytest.raises(EmptyUpdate):
             bayesian_update(m, EventSet.empty(3))
 

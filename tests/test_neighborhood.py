@@ -75,8 +75,8 @@ class TestBaseProperties:
 
     def test_report_structure(self):
         report = check_base_properties(walley_fine_model())
-        assert set(report.names()) == {"kbc", "kbf", "n", "a", "kbm"}
-        assert report.failures() == ()
+        assert dict(report.verdicts).keys() == {"kbc", "kbf", "n", "a", "kbm"}
+        assert report.all_hold
 
 
 class TestMaximalNonneighborhoods:
@@ -318,10 +318,12 @@ class TestCountingCertificate:
 class TestConjectured:
     def test_key_depends_on_arithmetic(self):
         m = derive_neighborhoods(horses_uniform(), HALF)
-        assert set(check_conjectured(m, HALF).names()) == {"sc0^1", "ws"}
+        assert dict(check_conjectured(m, HALF).verdicts).keys() \
+            == {"sc0^1", "ws"}
         c = Threshold(Fraction(3, 5))
         m2 = derive_neighborhoods(horses_uniform(), c)
-        assert set(check_conjectured(m2, c).names()) == {"sc1^2", "ws"}
+        assert dict(check_conjectured(m2, c).verdicts).keys() \
+            == {"sc1^2", "ws"}
 
     def test_below_half_rejected(self):
         m = derive_neighborhoods(horses_uniform(), HALF)

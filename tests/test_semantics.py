@@ -152,7 +152,7 @@ class TestEnumeration:
         a = list(enumerate_neighborhood_models(3, ("p",)))
         b = list(enumerate_neighborhood_models(3, ("p",)))
         assert len(a) == len(b)
-        assert all(x.frame.same_frame(y.frame) and x.generators == y.generators
+        assert all(x.frame == y.frame and x.generators == y.generators
                    for x, y in zip(a, b))
 
 
@@ -193,7 +193,7 @@ class TestSampling:
     def test_seed_reproducibility(self):
         a = sample_probability_model(random.Random(9), 6, ("p", "q"))
         b = sample_probability_model(random.Random(9), 6, ("p", "q"))
-        assert a.frame.same_frame(b.frame) and a.weights == b.weights
+        assert a.frame == b.frame and a.weights == b.weights
 
     def test_full_support_and_normalized(self):
         rng = random.Random(3)
