@@ -11,7 +11,6 @@ from .core import (
     Frame,
     NeighborhoodModel,
     ProbabilityModel,
-    bayesian_update,
     conditional_probability,
     make_neighborhood_model,
     make_probability_model,
@@ -22,7 +21,6 @@ from .formula import (
     parse_kb,
     parse_l,
     print_kb,
-    print_l,
     scott_instance,
     segerberg_expand,
     translate,
@@ -31,7 +29,6 @@ from .semantics import (
     eval_kb_nbhd,
     eval_kb_prob,
     eval_l,
-    eval_segerberg_direct,
     find_nbhd_countermodel,
     sample_prob_countermodel,
     valid_in_model,

@@ -174,6 +174,22 @@ def _rational(text: str, what: str) -> Fraction:
     return Fraction(text)
 
 
+_INTEGER = re.compile("-?[0-9]+")
+
+
+def _integer(text: str) -> int:
+    """An integer option's value, in ASCII digits: int() alone takes the
+    digits of any script.  The minus sign stays, so that a bound below 1
+    reaches the command's own check; other text is refused in the words
+    of argparse's own int refusal."""
+    if not _INTEGER.fullmatch(text):
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if limit := long_digit_run(text):
+        raise argparse.ArgumentTypeError(
+            f"has a run of more than {limit} digits")
+    return int(text)
+
+
 _BUILTINS = {
     "horses1": corpus.horses_common_prior,
     "horses2": corpus.horses_cut,
@@ -560,10 +576,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--mid-threshold", action="store_true")
     p.add_argument("--conjectured", metavar="C")
-    p.add_argument("--m-max", type=int, default=DEFAULT_M_MAX,
+    p.add_argument("--m-max", type=_integer, default=DEFAULT_M_MAX,
                    help="longest list the counting searches try "
                         "(default %(default)s)")
-    p.add_argument("--cell-budget", type=int, default=DEFAULT_CELL_BUDGET,
+    p.add_argument("--cell-budget", type=_integer, default=DEFAULT_CELL_BUDGET,
                    help="most worlds in a cell the counting searches "
                         "accept (default %(default)s)")
     p.set_defaults(func=cmd_check_model)
@@ -588,13 +604,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("countermodel", help="search for a falsifying model")
     p.add_argument("--formula", required=True)
-    p.add_argument("--max-worlds", type=int, default=3)
+    p.add_argument("--max-worlds", type=_integer, default=3)
     p.add_argument("--mid-threshold", action="store_true")
     p.add_argument("--prob", action="store_true",
                    help="random search over probability models")
     p.add_argument("--threshold", default="1/2")
-    p.add_argument("--trials", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--trials", type=_integer, default=1000)
+    p.add_argument("--seed", type=_integer, default=0)
     p.set_defaults(func=cmd_countermodel)
 
     p = sub.add_parser("prove", help="check a derivation file")

@@ -18,7 +18,6 @@ from typing import Iterable, Mapping
 from .errors import (
     BadNeighborhood,
     BadPartition,
-    EmptyUpdate,
     WeightsNotNormalized,
     ZeroOrNegativeWeight,
 )
@@ -228,9 +227,6 @@ class ProbabilityModel:
     def weight_map(self) -> dict[str, Fraction]:
         return {w: self.weights[i] for i, w in enumerate(self.frame.worlds)}
 
-    def mass(self, event: EventSet) -> Fraction:
-        return sum((self.weights[i] for i in event.indices()), ZERO)
-
 
 def make_probability_model(frame: Frame, weights: Mapping[str, object]
                            ) -> ProbabilityModel:
@@ -265,21 +261,6 @@ def conditional_probability(model: ProbabilityModel, world: str,
     """P_w(X) = P(X ∩ [w]) / P([w]); total by full support."""
     cell = model.frame.class_of(world)
     return conditional_mass(model, event.intersection(cell).bits, cell.bits)
-
-
-def bayesian_update(model: ProbabilityModel, event: EventSet
-                    ) -> ProbabilityModel:
-    """Condition the whole model on an event: restrict worlds, renormalize."""
-    if event.is_empty():
-        raise EmptyUpdate("cannot update on the empty event")
-    frame = model.frame
-    worlds = frame.names(event)
-    cells = (frame.names(cell.intersection(event)) for cell in frame.partition)
-    new_frame = Frame(worlds, tuple(cut for cut in cells if cut),
-                      {w: frame.valuation[w] for w in worlds})
-    total = model.mass(event)
-    return make_probability_model(new_frame, {
-        frame.worlds[i]: model.weights[i] / total for i in event.indices()})
 
 
 @dataclass(frozen=True)

@@ -17,10 +17,6 @@ class WeightsNotNormalized(HighProbError):
     pass
 
 
-class EmptyUpdate(HighProbError):
-    pass
-
-
 class BadNeighborhood(HighProbError):
     pass
 

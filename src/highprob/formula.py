@@ -248,8 +248,7 @@ def segerberg_expand(phis, psis, mode: str = "I") -> Formula:
     Mode ``I``: K(F_0 | ... | F_m) saying every accessible world satisfies
     at least as many psis as phis.  Mode ``E``: the conjunction of the two
     ``I`` directions.  The expansion is exponential in m, so m above
-    DEFAULT_EXPANSION_GUARD raises ExpansionTooLarge; past it, use the
-    direct semantic evaluator instead.
+    DEFAULT_EXPANSION_GUARD raises ExpansionTooLarge.
     """
     phis, psis = list(phis), list(psis)
     m = len(phis)
@@ -515,9 +514,6 @@ def print_kb(formula: Formula, _context: int = 0) -> str:
     if isinstance(formula, GeqZero):
         return _wrap(f"{print_term(formula.term)} >= 0", _PREC_AND, _context)
     raise TypeError(f"not a formula: {formula!r}")
-
-
-print_l = print_kb
 
 
 def print_term(term: TermL) -> str:

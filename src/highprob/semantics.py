@@ -7,10 +7,10 @@ costs one pass.  ``K`` is containment of the cell in both semantics (for
 probability models this is conditional probability one, by full
 support).  ``B`` is the only step that depends on the model: conditional
 probability strictly above the threshold, or membership in the cell's
-neighborhood system.  ``t >= 0`` needs a probability model.  Also here: a
-direct (non-expanded) evaluator for the counting notation, validity
-testing, deterministic countermodel enumeration for the neighborhood
-semantics, and seeded random search for the probability semantics.
+neighborhood system.  ``t >= 0`` needs a probability model.  Also here:
+validity testing, deterministic countermodel enumeration for the
+neighborhood semantics, and seeded random search for the probability
+semantics.
 """
 
 from __future__ import annotations
@@ -159,33 +159,6 @@ def extension_kb_nbhd(model: NeighborhoodModel, formula: Formula
 def eval_kb_nbhd(model: NeighborhoodModel, world: str, formula: Formula
                  ) -> bool:
     return model.frame.windex(world) in extension_kb_nbhd(model, formula)
-
-
-# ---------------------------------------------------------------------------
-# Direct counting evaluation
-
-def eval_segerberg_direct(model, world: str, phis, psis, mode: str = "I",
-                          c: Threshold | None = None) -> bool:
-    """Every world of the class satisfies at least as many psis as phis
-    (mode I), or both directions (mode E), without expanding the notation.
-    """
-    phis, psis = list(phis), list(psis)
-    if len(phis) != len(psis) or not phis:
-        raise ValueError("need equally many phis and psis, at least one each")
-    if mode == "E":
-        return (eval_segerberg_direct(model, world, phis, psis, "I", c)
-                and eval_segerberg_direct(model, world, psis, phis, "I", c))
-    if mode != "I":
-        raise ValueError(f"unknown mode {mode!r}")
-    value = _threshold_for(model, c)
-    exts_p = [_extension(model, f, value) for f in phis]
-    exts_q = [_extension(model, f, value) for f in psis]
-    cell = model.frame.class_of(world)
-    for v in cell.indices():
-        if (sum(1 for e in exts_p if v in e)
-                > sum(1 for e in exts_q if v in e)):
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------

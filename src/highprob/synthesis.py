@@ -98,12 +98,9 @@ class LinearConstraint:
         object.__setattr__(self, "relation", relation)
         object.__setattr__(self, "bound", bound)
 
-    def evaluate(self, assignment: Mapping[str, Fraction]) -> Fraction:
-        return sum((q * assignment.get(v, Fraction(0))
-                    for v, q in self.coefficients), Fraction(0))
-
     def satisfied_by(self, assignment: Mapping[str, Fraction]) -> bool:
-        lhs = self.evaluate(assignment)
+        lhs = sum((q * assignment.get(v, Fraction(0))
+                   for v, q in self.coefficients), Fraction(0))
         if self.relation == ">=":
             return lhs >= self.bound
         if self.relation == ">":
@@ -287,7 +284,8 @@ def agreement_constraints(model: NeighborhoodModel, cell_index: int,
                           c: Threshold) -> tuple[list[LinearConstraint],
                                                  list[str]]:
     """The per-cell system: weights sum to one, each minimal neighborhood
-    exceeds c, each maximal non-neighborhood stays at or below c.
+    exceeds c, each maximal non-neighborhood stays at or below c; and
+    the weight variables, one per world of the cell in index order.
 
     The non-strict caps are exactly what forces non-neighborhoods below
     the threshold: every non-neighborhood lies under a maximal one, and
@@ -364,7 +362,7 @@ def synthesize_measure(model: NeighborhoodModel, c: Threshold
         if not result.feasible:
             return SynthesisResult(False, failed_cell=ci)
         local = result.as_dict()
-        p = {v: local[f"p_{frame.worlds[v]}"] for v in cell.indices()}
+        p = {v: local[nm] for v, nm in zip(cell.indices(), variables)}
         # lp_feasible re-verified the caps it saw; check the left-out ones
         for x in _implied_caps(model, ci, c):
             if sum(q for v, q in p.items() if x >> v & 1) > c.value:

@@ -552,6 +552,34 @@ class TestErrorContract:
         assert err == "error: threshold must be p/q or a plain decimal, " \
                       "not '\u0660.\u0665'\n"
 
+    @pytest.mark.parametrize("digit", ["\u0662", "\uff12"])
+    @pytest.mark.parametrize("argv", [
+        ["countermodel", "--formula", "K p -> p", "--max-worlds"],
+        ["countermodel", "--prob", "--formula", "K p -> p", "--trials"],
+        ["countermodel", "--prob", "--formula", "K p -> p", "--seed"],
+        ["check-model", "--model", "walley-fine", "--mid-threshold",
+         "--m-max"],
+        ["check-model", "--model", "walley-fine", "--mid-threshold",
+         "--cell-budget"]], ids=lambda argv: argv[-1])
+    def test_integer_option_in_other_digits(self, capsys, argv, digit):
+        # Arabic-Indic and fullwidth two: int() read them, and the
+        # command ran with 2
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, digit])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith(
+            f"error: argument {argv[-1]}: invalid int value: '{digit}'\n")
+
+    def test_integer_option_past_the_int_digit_limit(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["countermodel", "--formula", "p", "--max-worlds",
+                  "9" * 5000])
+        assert exc.value.code == 2
+        limit = sys.get_int_max_str_digits()
+        assert capsys.readouterr().err.endswith(
+            f"error: argument --max-worlds: has a run of more than {limit} "
+            f"digits\n")
+
     def test_scott_index_past_the_int_digit_limit(self, capsys, tmp_path):
         # the guard's message, not the interpreter's int conversion limit
         proof = tmp_path / "proof.txt"

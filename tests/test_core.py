@@ -5,7 +5,6 @@ import pytest
 from highprob.core import (
     EventSet,
     Frame,
-    bayesian_update,
     conditional_probability,
     exact,
     make_neighborhood_model,
@@ -16,7 +15,6 @@ from highprob.corpus import non_consequence_model
 from highprob.errors import (
     BadNeighborhood,
     BadPartition,
-    EmptyUpdate,
     WeightsNotNormalized,
     ZeroOrNegativeWeight,
 )
@@ -152,37 +150,6 @@ class TestProbabilityModel:
         assert conditional_probability(m, "w1", x) \
             + conditional_probability(m, "w1", y) \
             == conditional_probability(m, "w1", x.union(y)) == 1
-
-
-class TestBayesianUpdate:
-    def test_arithmetic(self):
-        m = horse_model()
-        updated = bayesian_update(m, m.frame.event(["w1", "w2"]))
-        assert updated.weight_map() == {
-            "w1": Fraction(3, 5), "w2": Fraction(2, 5)}
-
-    def test_identity_and_empty(self):
-        m = horse_model()
-        same = bayesian_update(m, EventSet.full(3))
-        assert same.weights == m.weights
-        assert same.frame == m.frame
-        with pytest.raises(EmptyUpdate):
-            bayesian_update(m, EventSet.empty(3))
-
-    def test_update_law(self):
-        # P'(Y) = P(Y & X) / P(X) for Y inside the update event
-        m = horse_model()
-        x = m.frame.event(["w1", "w3"])
-        updated = bayesian_update(m, x)
-        for names in (["w1"], ["w3"], ["w1", "w3"]):
-            y = m.frame.event(names)
-            assert updated.mass(updated.frame.event(names)) \
-                == m.mass(y.intersection(x)) / m.mass(x)
-
-    def test_empty_cells_dropped(self):
-        m = horse_model((("w1", "w2"), ("w3",)))
-        updated = bayesian_update(m, m.frame.event(["w1", "w2"]))
-        assert len(updated.frame.partition) == 1
 
 
 class TestNeighborhoodStorage:

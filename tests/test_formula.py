@@ -30,7 +30,6 @@ from highprob.formula import (
     parse_kb,
     parse_l,
     print_kb,
-    print_l,
     prob,
     scott_instance,
     segerberg_expand,
@@ -131,7 +130,7 @@ class TestParsing:
         assert parse_l("P(p & q) > 1/3") == l_gt(
             prob(And(Atom("p"), Atom("q"))), Const(Fraction(1, 3)))
         got = parse_l("P(p) >= 1/2 & ~(P(q) < 1)")
-        assert parse_l(print_l(got)) == got
+        assert parse_l(print_kb(got)) == got
 
 
 KB_LEAVES = st.sampled_from([p, q, r, Atom("h12"), TOP])
@@ -187,7 +186,7 @@ class TestRoundTrip:
     @settings(max_examples=200, deadline=None)
     @given(l_formulas())
     def test_l_print_parse_identity(self, f):
-        assert parse_l(print_l(f)) == f
+        assert parse_l(print_kb(f)) == f
 
 
 class TestTranslation:
