@@ -203,7 +203,7 @@ def load_model(spec: str):
         return _BUILTINS[spec]()
     try:
         doc = json.loads(_read_text(spec, "model file"))
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise HighProbError(f"bad JSON in {spec}: {exc}") from exc
     return model_from_dict(doc)
 

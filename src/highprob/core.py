@@ -278,13 +278,10 @@ class NeighborhoodModel:
 
     frame: Frame
     generators: tuple[tuple[EventSet, ...], ...]
-    # per-cell bitmask families, filled on first use by
-    # neighborhood.cell_families
+    # the model's one memo: per-cell bitmask families, filled on first
+    # use by neighborhood.cell_families
     _families: dict = field(default_factory=dict, init=False, repr=False,
                             compare=False)
-    # each cell condition's search result, filled by neighborhood._failures
-    _witnesses: dict = field(default_factory=dict, init=False, repr=False,
-                             compare=False)
 
     def cell_is_neighborhood(self, cell_index: int, event: EventSet) -> bool:
         if not event.issubset(self.frame.partition[cell_index]):

@@ -448,22 +448,13 @@ def _replays(name: str, cell: int, gens: tuple[int, ...], witness,
 def _failures(model: NeighborhoodModel, cell_index: int, names,
               c: Threshold, m_max: int, cell_budget: int):
     """(name, witness) for each of the named conditions the cell fails at
-    c, searched lazily in order.
-
-    Each search's result, witness or None, is kept in the model's table
-    under (cell, condition, c, m_max, cell_budget), so synthesis and the
-    property reports search each cell condition of a model once.  A
-    search that raises, such as on a cell over cell_budget, keeps
-    nothing and raises again when asked again."""
-    table = model._witnesses
+    c, searched lazily in order."""
     cell, gens = _masks(model, cell_index)
     for name in names:
-        key = (cell_index, name, c.value, m_max, cell_budget)
-        if key not in table:
-            table[key] = _search(name, model, cell_index, cell, gens, c,
-                                 m_max, cell_budget)
-        if table[key] is not None:
-            yield name, table[key]
+        witness = _search(name, model, cell_index, cell, gens, c, m_max,
+                          cell_budget)
+        if witness is not None:
+            yield name, witness
 
 
 def _report(model: NeighborhoodModel, names, c: Threshold, m_max: int,

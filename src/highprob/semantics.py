@@ -48,6 +48,9 @@ from .formula import (
 from .neighborhood import check_mid_threshold
 
 MAX_ENUM_WORLDS = 5
+# a sampled model names each of its worlds and its time grows with them,
+# so the sampling bound is capped too
+MAX_SAMPLE_WORLDS = 64
 
 
 # ---------------------------------------------------------------------------
@@ -347,6 +350,9 @@ def sample_prob_countermodel(formula: Formula, c: Threshold, trials: int,
     """Seeded random falsification search for the probability semantics."""
     _at_least_one("trials", trials)
     _at_least_one("max_worlds", max_worlds)
+    if max_worlds > MAX_SAMPLE_WORLDS:
+        raise BoundTooLarge(
+            f"sampling supports at most {MAX_SAMPLE_WORLDS} worlds")
     rng = random.Random(seed)
     atoms = sorted(atoms_of(formula))
     models = (sample_probability_model(rng, max_worlds, atoms)

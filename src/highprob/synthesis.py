@@ -24,13 +24,9 @@ search and returned on the result in place of a bare infeasible
 verdict, with the failed cell the LP would report; the CLI prints it as
 one ``witness:`` line.  Only cells without a witness reach the simplex.
 
-Two shortcuts spare that work.  A one-world cell whose only generator
-is the cell itself gets the point mass, the only full-support measure
-on one world and so the LP's only feasible point, before any search.
-And each search's result is kept on the model, keyed by cell,
-condition, c and the search bounds, so synthesizing at 1/2 and then
-checking the mid-threshold conditions, or synthesizing at 2/3 and then
-checking the conjectured ones, searches each cell condition once.
+A one-world cell whose only generator is the cell itself skips that
+work: it gets the point mass, the only full-support measure on one
+world and so the LP's only feasible point, before any search.
 
 At c >= 1/2 the cell's LP also leaves out the cap P(X) <= c on a
 maximal non-neighborhood X whenever some generator G lies in the cell
@@ -337,9 +333,7 @@ def synthesize_measure(model: NeighborhoodModel, c: Threshold
     other cell first goes through the bounded property searches for a
     condition that an agreeing measure must satisfy; a failure is
     replayed and reported as the cell's proof of infeasibility, and only
-    cells without one reach the LP.  The searches' results are kept on
-    the model, so a later call, or a property report on the same model,
-    does not search again.
+    cells without one reach the LP.
     """
     frame = model.frame
     k = len(frame.partition)

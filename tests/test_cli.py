@@ -427,6 +427,12 @@ class TestErrorContract:
                                 "--max-worlds", "6")
         assert err == "error: enumeration supports at most 5 worlds\n"
 
+    def test_prob_countermodel_past_the_sampling_bound(self, capsys):
+        err = self.assert_error(capsys, "countermodel", "--prob",
+                                "--formula", "K p -> p", "--max-worlds",
+                                "65", "--trials", "1")
+        assert err == "error: sampling supports at most 64 worlds\n"
+
     def test_substitution_leaving_a_metavariable_unbound(self, capsys,
                                                         tmp_path):
         # a negative verdict, not an error: Ap's phi stays unbound
@@ -602,6 +608,14 @@ class TestErrorContract:
                                 "--formula", "~" * 5000 + "h1",
                                 "--threshold", "1/2")
         assert err == "error: formula nested too deep\n"
+
+    def test_model_file_nested_too_deep(self, capsys, tmp_path):
+        # the model file, not the formula, is what is nested too deep
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100000 + "]" * 100000)
+        err = self.assert_error(capsys, "eval", "--model", str(deep),
+                                "--world", "w1", "--formula", "p")
+        assert err.startswith(f"error: bad JSON in {deep}: ")
 
 
 class TestDemos:
