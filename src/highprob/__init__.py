@@ -43,7 +43,6 @@ from .neighborhood import (
 )
 from .synthesis import (
     ComparativeRelation,
-    LinearConstraint,
     LPResult,
     check_definetti,
     lp_feasible,

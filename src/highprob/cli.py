@@ -384,8 +384,6 @@ def cmd_prove(args) -> tuple[bool, dict, str]:
 
 
 def _parse_statements(text: str, worlds) -> ComparativeRelation:
-    worlds = tuple(worlds)
-
     def event(token: str) -> EventSet:
         names = [] if token == "-" else token.split(",")
         for nm in names:
@@ -408,6 +406,10 @@ def _parse_statements(text: str, worlds) -> ComparativeRelation:
 
 def cmd_comparative(args) -> tuple[bool, dict, str]:
     worlds = tuple(args.universe.split())
+    for w in worlds:  # statements read - as the empty set, "," as a split
+        if w == "-" or "," in w:
+            raise HighProbError(f"universe name {w!r} cannot be named in "
+                                "a statement")
     if args.statements:
         rel = _parse_statements(
             _read_text(args.statements, "statements file"), worlds)
@@ -416,14 +418,12 @@ def cmd_comparative(args) -> tuple[bool, dict, str]:
     result = realize_comparative(rel)
     if not result.feasible:
         return False, {"feasible": False}, "INFEASIBLE"
-    assignment = {v: str(q) for v, q in result.assignment}
+    assignment = {f"p_{worlds[i]}": str(q) for i, q in result.assignment}
     payload = {"feasible": True, "measure": assignment}
     lines = ["Feasible: " + json.dumps(assignment, sort_keys=True)]
     if args.definetti:
-        weights = [Fraction(dict(result.assignment)[f"p_{w}"])
-                   for w in worlds]
         report = check_definetti(
-            measure_order(weights, len(worlds)), len(worlds))
+            measure_order(dict(result.assignment), len(worlds)), len(worlds))
         payload["definetti"] = {name: v.holds for name, v in report.verdicts}
         for name, v in report.verdicts:
             lines.append(f"definetti/{name}: "

@@ -49,8 +49,10 @@ from .neighborhood import check_mid_threshold
 
 MAX_ENUM_WORLDS = 5
 # a sampled model names each of its worlds and its time grows with them,
-# so the sampling bound is capped too
+# so the sampling bound is capped too, and so are the trials (100,000
+# took 6.6 s at 3 worlds on 2 shared cores)
 MAX_SAMPLE_WORLDS = 64
+MAX_SAMPLE_TRIALS = 100_000
 
 
 # ---------------------------------------------------------------------------
@@ -353,6 +355,9 @@ def sample_prob_countermodel(formula: Formula, c: Threshold, trials: int,
     if max_worlds > MAX_SAMPLE_WORLDS:
         raise BoundTooLarge(
             f"sampling supports at most {MAX_SAMPLE_WORLDS} worlds")
+    if trials > MAX_SAMPLE_TRIALS:
+        raise BoundTooLarge(
+            f"sampling supports at most {MAX_SAMPLE_TRIALS} trials")
     rng = random.Random(seed)
     atoms = sorted(atoms_of(formula))
     models = (sample_probability_model(rng, max_worlds, atoms)

@@ -1,9 +1,10 @@
 """Exact linear-programming feasibility and its applications.
 
 A small two-phase simplex over ``Fraction`` decides feasibility of
-rational constraint systems with strict inequalities: every strict
-constraint shares one slack variable which the objective maximizes, so the
-system is strictly feasible exactly when the optimum slack is positive.
+systems of rows P(plus) - P(minus) rel bound over world masses, plus and
+minus ``int`` world masks, with strict inequalities: every strict row
+shares one slack variable which the objective maximizes, so the system
+is strictly feasible exactly when the optimum slack is positive.
 The reduced costs are kept as one extra tableau row that each pivot
 updates, so no iteration recomputes them from the whole tableau.  Each
 phase builds that row from the basic rows with a nonzero cost alone.
@@ -42,6 +43,7 @@ against every cap: ``lp_feasible`` re-verifies the rows it saw, and
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping
@@ -50,6 +52,7 @@ from .core import (
     EventSet,
     NeighborhoodModel,
     ProbabilityModel,
+    _members,
     make_probability_model,
 )
 from .errors import UniverseTooLarge
@@ -64,59 +67,28 @@ from .neighborhood import (
     replay_witness,
 )
 
-_RELATIONS = (">=", ">", "=")
-
-
-@dataclass(frozen=True)
-class LinearConstraint:
-    """sum(coefficients) rel bound, with rel one of >=, >, =.
-
-    <= and < inputs are normalized by negation at construction.
-    """
-
-    coefficients: tuple[tuple[str, Fraction], ...]
-    relation: str
-    bound: Fraction
-
-    def __init__(self, coefficients: Mapping[str, object], relation: str,
-                 bound):
-        coeffs = {v: Fraction(q) for v, q in coefficients.items()
-                  if Fraction(q) != 0}
-        bound = Fraction(bound)
-        if relation in ("<=", "<"):
-            coeffs = {v: -q for v, q in coeffs.items()}
-            bound = -bound
-            relation = ">=" if relation == "<=" else ">"
-        if relation not in _RELATIONS:
-            raise ValueError(f"unknown relation {relation!r}")
-        object.__setattr__(self, "coefficients",
-                           tuple(sorted(coeffs.items())))
-        object.__setattr__(self, "relation", relation)
-        object.__setattr__(self, "bound", bound)
-
-    def satisfied_by(self, assignment: Mapping[str, Fraction]) -> bool:
-        lhs = sum((q * assignment.get(v, Fraction(0))
-                   for v, q in self.coefficients), Fraction(0))
-        if self.relation == ">=":
-            return lhs >= self.bound
-        if self.relation == ">":
-            return lhs > self.bound
-        return lhs == self.bound
+_COMPARE = {">=": operator.ge, ">": operator.gt, "=": operator.eq,
+            "<=": operator.le, "<": operator.lt}
+_FLIP = {"<=": ">=", "<": ">"}
 
 
 @dataclass(frozen=True)
 class LPResult:
     feasible: bool
-    assignment: tuple[tuple[str, Fraction], ...] | None = None
+    assignment: tuple[tuple[int, Fraction], ...] | None = None  # by world
     slack: Fraction | None = None
     pivots: int = 0  # over both phases, drive-out pivots included
-
-    def as_dict(self) -> dict[str, Fraction]:
-        return dict(self.assignment or ())
 
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+
+
+def _holds(row, p: Mapping[int, Fraction]) -> bool:
+    """Whether the measure p, a mass per world, satisfies the row."""
+    plus, minus, rel, bound = row
+    lhs = sum(q * ((plus >> w & 1) - (minus >> w & 1)) for w, q in p.items())
+    return _COMPARE[rel](lhs, bound)
 
 
 def _pivot(rows, rhs, basis, r, c):
@@ -172,42 +144,53 @@ def _simplex(rows, rhs, basis, objective):
         pivots += 1
 
 
-def lp_feasible(constraints: Iterable[LinearConstraint],
-                positivity: Iterable[str] = ()) -> LPResult:
-    """Decide strict-rational feasibility.
+def lp_feasible(rows: Iterable[tuple[int, int, str, Fraction]],
+                positivity: Iterable[int] = ()) -> LPResult:
+    """Decide strict-rational feasibility of rows over world masses.
 
-    Strict constraints (and strict positivity of the listed variables)
-    are tightened by a shared slack, the slack is maximized subject to a
-    cap of 1, and the system is feasible exactly when the optimum is
-    positive.  Returned assignments are re-verified against every input
-    constraint before being reported.
+    A row (plus, minus, rel, bound) reads P(plus) - P(minus) rel bound,
+    with plus and minus world masks and rel one of >=, >, =, <=, <; a <=
+    or < row is turned into >= or > by swapping plus and minus and
+    negating the bound.  Strict rows (and strict positivity of the listed
+    worlds) are tightened by a shared slack, the slack is maximized
+    subject to a cap of 1, and the system is feasible exactly when the
+    optimum is positive.  The columns are the worlds with a nonzero
+    coefficient somewhere, in index order, and the assignment is
+    re-verified against every row before being reported.
     """
-    constraints = list(constraints)
-    positivity = list(dict.fromkeys(positivity))
-    variables = sorted({v for con in constraints
-                        for v, _ in con.coefficients} | set(positivity))
+    specs = []
+    for plus, minus, rel, bound in rows:
+        if rel in _FLIP:
+            plus, minus, rel, bound = minus, plus, _FLIP[rel], -bound
+        elif rel not in _COMPARE:
+            raise ValueError(f"unknown relation {rel!r}")
+        specs.append((plus, minus, rel, Fraction(bound)))
+    specs += [(1 << w, 0, ">", _ZERO) for w in dict.fromkeys(positivity)]
+    specs.append((0, 0, ">", -_ONE))
+    nonzero = 0  # the worlds with a nonzero coefficient somewhere
+    for plus, minus, _, _ in specs:
+        nonzero |= plus ^ minus
+    worlds = _members(nonzero)
 
-    # The phase-1 tableau: one full row per constraint, per strictly
-    # positive variable, and for the cap eps <= 1 that bounds phase 2,
-    # written -eps >= -1 as a strict row with no variables.  Columns: u_x
-    # and v_x at 2i and 2i + 1 for the i-th variable x = u_x - v_x; eps at
-    # 2n (-1 in strict rows); one slack per inequality in row order (-1);
-    # one artificial per row (1), set after a negative bound is negated.
-    upos = {x: 2 * i for i, x in enumerate(variables)}
-    eps = 2 * len(variables)
-    specs = [(con.coefficients, con.relation, con.bound)
-             for con in constraints]
-    specs += [(((v, _ONE),), ">", _ZERO) for v in positivity]
-    specs.append(((), ">", -_ONE))
+    # The phase-1 tableau: one full row per input row, per strictly
+    # positive world, and for the cap eps <= 1 that bounds phase 2,
+    # written -eps >= -1 as a strict row with no worlds.  Columns: u_w and
+    # v_w at 2i and 2i + 1 for the i-th world w, whose mass is u_w - v_w;
+    # eps at 2n (-1 in strict rows); one slack per inequality in row order
+    # (-1); one artificial per row (1), set after a negative bound is
+    # negated.
+    upos = {w: 2 * i for i, w in enumerate(worlds)}
+    eps = 2 * len(worlds)
     m = len(specs)
-    total = eps + 1 + sum(rel != "=" for _, rel, _ in specs)
-    rows, rhs = [], []
+    total = eps + 1 + sum(rel != "=" for _, _, rel, _ in specs)
+    tableau, rhs = [], []
     si = eps + 1
-    for i, (coefficients, rel, bound) in enumerate(specs):
+    for i, (plus, minus, rel, bound) in enumerate(specs):
         row = [_ZERO] * (total + m)
-        for v, q in coefficients:
-            row[upos[v]] += q
-            row[upos[v] + 1] -= q
+        for w in _members(plus ^ minus):
+            d = (plus >> w & 1) - (minus >> w & 1)
+            row[upos[w]] += d
+            row[upos[w] + 1] -= d
         if rel == ">":
             row[eps] = -_ONE
         if rel != "=":
@@ -217,29 +200,29 @@ def lp_feasible(constraints: Iterable[LinearConstraint],
             row = [-a for a in row]
             bound = -bound
         row[total + i] = _ONE
-        rows.append(row)
+        tableau.append(row)
         rhs.append(bound)
 
     # phase 1: drive the artificials' sum to zero
     basis = [total + i for i in range(m)]
-    pivots = _simplex(rows, rhs, basis, [_ZERO] * total + [-_ONE] * m)
+    pivots = _simplex(tableau, rhs, basis, [_ZERO] * total + [-_ONE] * m)
     if rhs[m] != 0:  # the artificials' optimal sum
         return LPResult(False, pivots=pivots)
 
     # pivot remaining zero-level artificials out of the basis
     for i in range(m):
         if basis[i] >= total:
-            c = next((j for j in range(total) if rows[i][j] != 0), None)
+            c = next((j for j in range(total) if tableau[i][j] != 0), None)
             if c is not None:
-                _pivot(rows, rhs, basis, i, c)
+                _pivot(tableau, rhs, basis, i, c)
                 pivots += 1
     keep = [i for i in range(m) if basis[i] < total]
-    rows = [rows[i][:total] for i in keep]
+    tableau = [tableau[i][:total] for i in keep]
     rhs = [rhs[i] for i in keep]
     basis = [basis[i] for i in keep]
 
     # phase 2: maximize the shared slack
-    pivots += _simplex(rows, rhs, basis,
+    pivots += _simplex(tableau, rhs, basis,
                        [_ONE if j == eps else _ZERO for j in range(total)])
 
     values = [_ZERO] * total
@@ -248,15 +231,11 @@ def lp_feasible(constraints: Iterable[LinearConstraint],
     slack = values[eps]
     if slack <= 0:
         return LPResult(False, pivots=pivots)
-    assignment = {x: values[upos[x]] - values[upos[x] + 1]
-                  for x in variables}
-    for con in constraints:
-        if not con.satisfied_by(assignment):
-            raise RuntimeError(f"solver returned a bad assignment for {con}")
-    for v in positivity:
-        if assignment[v] <= 0:
-            raise RuntimeError("solver violated strict positivity")
-    return LPResult(True, tuple(sorted(assignment.items())), slack, pivots)
+    p = {w: values[upos[w]] - values[upos[w] + 1] for w in worlds}
+    for spec in specs:
+        if not _holds(spec, p):
+            raise RuntimeError(f"solver returned a bad assignment for {spec}")
+    return LPResult(True, tuple(p.items()), slack, pivots)
 
 
 # ---------------------------------------------------------------------------
@@ -277,11 +256,13 @@ class SynthesisResult:
 
 
 def agreement_constraints(model: NeighborhoodModel, cell_index: int,
-                          c: Threshold) -> tuple[list[LinearConstraint],
-                                                 list[str]]:
-    """The per-cell system: weights sum to one, each minimal neighborhood
-    exceeds c, each maximal non-neighborhood stays at or below c; and
-    the weight variables, one per world of the cell in index order.
+                          c: Threshold
+                          ) -> tuple[list[tuple[int, int, str, Fraction]],
+                                     list[int]]:
+    """The per-cell rows for ``lp_feasible``: the cell's masses sum to
+    one, each minimal neighborhood exceeds c, each maximal
+    non-neighborhood stays at or below c; and the cell's worlds in index
+    order.
 
     The non-strict caps are exactly what forces non-neighborhoods below
     the threshold: every non-neighborhood lies under a maximal one, and
@@ -292,20 +273,13 @@ def agreement_constraints(model: NeighborhoodModel, cell_index: int,
     to one already gives P(X) <= 1 - P(G) < 1 - c <= c.  Below 1/2 every
     cap is kept.
     """
-    frame = model.frame
-    cell = frame.partition[cell_index]
-    names = {v: f"p_{frame.worlds[v]}" for v in cell.indices()}
-    cons = [LinearConstraint({nm: 1 for nm in names.values()}, "=", 1)]
-    for g in model.generators[cell_index]:
-        cons.append(LinearConstraint(
-            {names[v]: 1 for v in g.indices()}, ">", c.value))
+    cell = model.frame.partition[cell_index]
     implied = _implied_caps(model, cell_index, c)
-    for x in cell_families(model, cell_index)[0]:
-        if x and x not in implied:
-            cons.append(LinearConstraint(
-                {nm: 1 for v, nm in names.items() if x >> v & 1},
-                "<=", c.value))
-    return cons, list(names.values())
+    rows = [(cell.bits, 0, "=", _ONE)]
+    rows += [(g.bits, 0, ">", c.value) for g in model.generators[cell_index]]
+    rows += [(x, 0, "<=", c.value) for x in cell_families(model, cell_index)[0]
+             if x and x not in implied]
+    return rows, list(cell.indices())
 
 
 def _implied_caps(model: NeighborhoodModel, cell_index: int, c: Threshold
@@ -351,15 +325,14 @@ def synthesize_measure(model: NeighborhoodModel, c: Threshold
                                    "does not replay")
             return SynthesisResult(False, failed_cell=ci,
                                    condition=condition, witness=witness)
-        cons, variables = agreement_constraints(model, ci, c)
-        result = lp_feasible(cons, positivity=variables)
+        rows, worlds = agreement_constraints(model, ci, c)
+        result = lp_feasible(rows, positivity=worlds)
         if not result.feasible:
             return SynthesisResult(False, failed_cell=ci)
-        local = result.as_dict()
-        p = {v: local[nm] for v, nm in zip(cell.indices(), variables)}
+        p = dict(result.assignment)
         # lp_feasible re-verified the caps it saw; check the left-out ones
         for x in _implied_caps(model, ci, c):
-            if sum(q for v, q in p.items() if x >> v & 1) > c.value:
+            if not _holds((x, 0, "<=", c.value), p):
                 raise RuntimeError(f"solver returned a measure above the "
                                    f"implied cap on {x:#b} in cell {ci}")
         for v, q in p.items():
@@ -371,7 +344,8 @@ def synthesize_measure(model: NeighborhoodModel, c: Threshold
 # ---------------------------------------------------------------------------
 # Comparative probability
 
-_COMP_RELS = ("<", "<=", "=")
+# X rel Y as the row P(Y) - P(X) rel' 0
+_COMP_RELS = {"<": ">", "<=": ">=", "=": "="}
 
 
 @dataclass(frozen=True)
@@ -392,23 +366,15 @@ class ComparativeRelation:
                 raise ValueError("statement events outside the universe")
 
 
-def realize_comparative(rel: ComparativeRelation,
-                        full_support: bool = False) -> LPResult:
-    """A probability measure realizing every statement, or Infeasible."""
-    names = {i: f"p_{w}" for i, w in enumerate(rel.worlds)}
-    cons = [LinearConstraint({nm: 1 for nm in names.values()}, "=", 1)]
-    for nm in names.values():
-        cons.append(LinearConstraint({nm: 1}, ">=", 0))
-    for x, comparison, y in rel.statements:
-        coeffs: dict[str, Fraction] = {}
-        for i in y.indices():
-            coeffs[names[i]] = coeffs.get(names[i], _ZERO) + 1
-        for i in x.indices():
-            coeffs[names[i]] = coeffs.get(names[i], _ZERO) - 1
-        relation = {"<": ">", "<=": ">=", "=": "="}[comparison]
-        cons.append(LinearConstraint(coeffs, relation, 0))
-    positivity = list(names.values()) if full_support else []
-    return lp_feasible(cons, positivity=positivity)
+def realize_comparative(rel: ComparativeRelation) -> LPResult:
+    """A probability measure realizing every statement, keyed by world
+    index, or Infeasible."""
+    n = len(rel.worlds)
+    rows = [((1 << n) - 1, 0, "=", _ONE)]
+    rows += [(1 << w, 0, ">=", _ZERO) for w in range(n)]
+    rows += [(y.bits, x.bits, _COMP_RELS[comparison], _ZERO)
+             for x, comparison, y in rel.statements]
+    return lp_feasible(rows)
 
 
 def check_definetti(leq: Callable[[EventSet, EventSet], bool],

@@ -341,6 +341,16 @@ class TestErrorContract:
         err = self.assert_error(capsys, "comparative", "--universe", "a a")
         assert "duplicate" in err
 
+    def test_universe_names_statements_cannot_name(self, capsys, tmp_path):
+        # statements read - as the empty set and split events at commas, so
+        # a world named - would read as {} and one with a comma as two
+        stmts = tmp_path / "stmts.txt"
+        stmts.write_text("a < -\n")
+        for universe, name in (("- a", "-"), ("a b,c", "b,c")):
+            err = self.assert_error(capsys, "comparative", "--universe",
+                                    universe, "--statements", str(stmts))
+            assert err.startswith(f"error: universe name {name!r} ")
+
     def assert_bad_model(self, capsys, tmp_path, doc):
         path = tmp_path / "model.json"
         path.write_text(json.dumps(doc))
@@ -432,6 +442,14 @@ class TestErrorContract:
                                 "--formula", "K p -> p", "--max-worlds",
                                 "65", "--trials", "1")
         assert err == "error: sampling supports at most 64 worlds\n"
+
+    def test_prob_countermodel_past_the_trials_bound(self, capsys):
+        # refused before any model is sampled, however many trials
+        for trials in ("100001", "1000000000"):
+            err = self.assert_error(capsys, "countermodel", "--prob",
+                                    "--formula", "K p -> p", "--trials",
+                                    trials)
+            assert err == "error: sampling supports at most 100000 trials\n"
 
     def test_substitution_leaving_a_metavariable_unbound(self, capsys,
                                                         tmp_path):

@@ -36,7 +36,6 @@ from highprob.semantics import (
 )
 from highprob.synthesis import (
     ComparativeRelation,
-    LinearConstraint,
     check_definetti,
     lp_feasible,
     measure_order,
@@ -107,96 +106,89 @@ GOLDEN = [
 ]
 
 
-class TestLinearConstraint:
+class TestRows:
+    # world 0 is x and world 1 is y: a row (plus, minus, rel, bound)
+    # reads P(plus) - P(minus) rel bound
     def test_normalization(self):
-        le = LinearConstraint({"x": 2, "y": -1}, "<=", 5)
-        assert le.relation == ">="
-        assert le.bound == -5
-        assert dict(le.coefficients) == {"x": -2, "y": 1}
-        assert LinearConstraint({"x": 1, "y": 0}, "=", 1).coefficients \
-            == (("x", Fraction(1)),)
+        # a <= or < row is the >= or > row with plus and minus swapped
+        # and the bound negated
+        rng = random.Random(3)
+        for _ in range(40):
+            plus, minus = rng.randrange(8), rng.randrange(8)
+            bound = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+            for rel, flipped in (("<=", ">="), ("<", ">")):
+                assert lp_feasible([(0b111, 0, "=", 1),
+                                    (plus, minus, rel, bound)]) \
+                    == lp_feasible([(0b111, 0, "=", 1),
+                                    (minus, plus, flipped, -bound)])
+        with pytest.raises(ValueError, match="unknown relation"):
+            lp_feasible([(1, 0, "!=", 1)])
 
-    def test_satisfied_by(self):
-        con = LinearConstraint({"x": 1, "y": 1}, ">", 1)
-        assert con.satisfied_by({"x": 1, "y": Fraction(1, 100)})
-        assert not con.satisfied_by({"x": 1, "y": 0})
+    def test_holds(self):
+        row = (0b11, 0, ">", 1)
+        assert synthesis._holds(row, {0: 1, 1: Fraction(1, 100)})
+        assert not synthesis._holds(row, {0: 1, 1: 0})
+        # x - y <= 0, and worlds the row does not mention do not count
+        assert synthesis._holds((0b01, 0b10, "<=", 0), {0: 1, 1: 1, 2: 5})
+        assert not synthesis._holds((0b01, 0b10, "<", 0), {0: 1, 1: 1})
 
 
 class TestLP:
     def test_simple_feasible(self):
         res = lp_feasible([
-            LinearConstraint({"x": 1, "y": 1}, "=", 1),
-            LinearConstraint({"x": 1}, ">", Fraction(1, 2)),
-        ], positivity=["x", "y"])
+            (0b11, 0, "=", 1),
+            (0b01, 0, ">", Fraction(1, 2)),
+        ], positivity=[0, 1])
         assert res.feasible
-        a = res.as_dict()
-        assert a["x"] + a["y"] == 1 and a["x"] > Fraction(1, 2) > 0 < a["y"]
+        a = dict(res.assignment)
+        assert a[0] + a[1] == 1 and a[0] > Fraction(1, 2) > 0 < a[1]
 
     def test_strictness_detected(self):
         res = lp_feasible([
-            LinearConstraint({"x": 1}, "<=", 1),
-            LinearConstraint({"x": 1}, ">", 1),
+            (1, 0, "<=", 1),
+            (1, 0, ">", 1),
         ])
         assert not res.feasible
 
     def test_boundary_vs_interior(self):
         # >= on the boundary is fine, > is not
-        assert lp_feasible([LinearConstraint({"x": 1}, ">=", 1),
-                            LinearConstraint({"x": 1}, "<=", 1)]).feasible
-        assert not lp_feasible([LinearConstraint({"x": 1}, ">", 1),
-                                LinearConstraint({"x": 1}, "<=", 1)]).feasible
+        assert lp_feasible([(1, 0, ">=", 1), (1, 0, "<=", 1)]).feasible
+        assert not lp_feasible([(1, 0, ">", 1), (1, 0, "<=", 1)]).feasible
 
     def test_free_variables(self):
-        res = lp_feasible([LinearConstraint({"x": 1}, "<", -3)])
+        res = lp_feasible([(1, 0, "<", -3)])
         assert res.feasible
-        assert res.as_dict()["x"] < -3
+        assert dict(res.assignment)[0] < -3
 
     def test_equalities_only(self):
+        # x + y = 3 and y = 1
         res = lp_feasible([
-            LinearConstraint({"x": 1, "y": 2}, "=", 4),
-            LinearConstraint({"x": 1, "y": 1}, "=", 3),
+            (0b11, 0, "=", 3),
+            (0b10, 0, "=", 1),
         ])
-        assert res.as_dict() == {"x": 2, "y": 1}
+        assert dict(res.assignment) == {0: 2, 1: 1}
 
     def test_random_systems_self_verify(self):
-        # every reported assignment satisfies every constraint; relies on
-        # the internal re-verification not raising, plus an external check
+        # every reported assignment satisfies every row; relies on the
+        # internal re-verification not raising, plus an external check
         rng = random.Random(5)
         feasible_seen = infeasible_seen = 0
         for _ in range(120):
-            cons = []
+            rows = []
             nvars = rng.randint(1, 4)
-            names = [f"v{i}" for i in range(nvars)]
             for _ in range(rng.randint(1, 5)):
-                coeffs = {n: Fraction(rng.randint(-3, 3)) for n in names}
                 rel = rng.choice([">=", ">", "=", "<=", "<"])
-                cons.append(LinearConstraint(coeffs, rel,
-                                             Fraction(rng.randint(-4, 4))))
-            res = lp_feasible(cons)
+                rows.append((rng.randrange(1 << nvars),
+                             rng.randrange(1 << nvars), rel,
+                             Fraction(rng.randint(-4, 4))))
+            res = lp_feasible(rows)
             if res.feasible:
                 feasible_seen += 1
-                a = res.as_dict()
-                assert all(c.satisfied_by(a) for c in cons)
+                a = dict(res.assignment)
+                assert all(synthesis._holds(row, a) for row in rows)
             else:
                 infeasible_seen += 1
         assert feasible_seen and infeasible_seen
-
-
-def beale_system(relation):
-    """Beale's cycling example as feasibility: its objective reaches 5/4
-    only at a degenerate vertex, where careless pivoting cycles."""
-    x = ("x4", "x5", "x6", "x7")
-    return [
-        LinearConstraint({"x4": Fraction(1, 4), "x5": -8, "x6": -1,
-                          "x7": 9}, "<=", 0),
-        LinearConstraint({"x4": Fraction(1, 2), "x5": -12,
-                          "x6": Fraction(-1, 2), "x7": 3}, "<=", 0),
-        LinearConstraint({"x6": 1}, "<=", 1),
-        *(LinearConstraint({v: 1}, ">=", 0) for v in x),
-        LinearConstraint({"x4": Fraction(3, 4), "x5": -20,
-                          "x6": Fraction(1, 2), "x7": -6},
-                         relation, Fraction(5, 4)),
-    ]
 
 
 class TestPivotPath:
@@ -231,11 +223,23 @@ class TestPivotPath:
         assert pivots == [27, 22, 22, 22, 22]
 
     def test_beale_terminates_under_blands_rule(self):
-        res = lp_feasible(beale_system(">="))
-        assert res.feasible and res.pivots == 13
-        assert res.as_dict() == {"x4": 1, "x5": 0, "x6": 1, "x7": 0}
-        res = lp_feasible(beale_system(">"))
-        assert not res.feasible and res.pivots == 14
+        # Beale's cycling example in standard form: maximize
+        # 3/4 x4 - 20 x5 + 1/2 x6 - 6 x7 from the slack basis x1, x2, x3;
+        # its optimum 5/4 is reached only through degenerate vertices,
+        # where careless pivoting cycles.  Its coefficients are not world
+        # masks, so the simplex takes its tableau directly.  Columns
+        # x4 x5 x6 x7 x1 x2 x3.
+        q = Fraction
+        rows = [[q(1, 4), q(-8), q(-1), q(9), q(1), q(0), q(0)],
+                [q(1, 2), q(-12), q(-1, 2), q(3), q(0), q(1), q(0)],
+                [q(0), q(0), q(1), q(0), q(0), q(0), q(1)]]
+        rhs = [q(0), q(0), q(1)]
+        basis = [4, 5, 6]
+        objective = [q(3, 4), q(-20), q(1, 2), q(-6), q(0), q(0), q(0)]
+        assert synthesis._simplex(rows, rhs, basis, objective) == 6
+        # the cost row's right side is minus the objective's value
+        assert -rhs[-1] == Fraction(5, 4)
+        assert dict(zip(basis, rhs)) == {0: 1, 2: 1, 4: Fraction(3, 4)}
 
 
 class TestSynthesis:
@@ -339,7 +343,7 @@ class TestWitnessFirst:
         # every result, pivot count and measure included, in solve order
         text = "\n".join(
             f"{r.feasible} {r.slack} {r.pivots} "
-            + " ".join(f"{v}={q}" for v, q in r.assignment or ())
+            + " ".join(f"{w}={q}" for w, q in r.assignment or ())
             for r in solved.values())
         assert (len(solved),
                 hashlib.sha256(text.encode()).hexdigest()[:16]) \
@@ -567,7 +571,7 @@ class TestOneWorldCells:
         for c in self.THRESHOLDS:
             calls.clear()
             assert synthesize_measure(self.model(), c).feasible
-            assert calls == [("p_a", "p_b")]
+            assert calls == [(0, 1)]
 
     def test_point_masses_equal_the_lps_measure(self):
         model = self.model()
@@ -575,9 +579,9 @@ class TestOneWorldCells:
             expected = {}
             for ci, cell in enumerate(self.FRAME.partition):
                 local = lp_feasible(*synthesis.agreement_constraints(
-                    model, ci, c)).as_dict()
-                for w in self.FRAME.names(cell):
-                    expected[w] = local[f"p_{w}"] / 3
+                    model, ci, c)).assignment
+                for w, q in local:
+                    expected[self.FRAME.worlds[w]] = q / 3
             res = synthesize_measure(model, c)
             assert res.model.weight_map() == expected
             assert check_agreement(model, res.model, c).holds
@@ -599,18 +603,13 @@ class TestOneWorldCells:
 def every_cap_system(model, ci, c):
     """The cell's agreement LP with a cap on every nonempty maximal
     non-neighborhood, the reference for the caps the solver leaves out."""
-    frame = model.frame
-    cell = frame.partition[ci]
-    names = {v: f"p_{frame.worlds[v]}" for v in cell.indices()}
-    cons = [LinearConstraint({nm: 1 for nm in names.values()}, "=", 1)]
-    for g in model.generators[ci]:
-        cons.append(LinearConstraint(
-            {names[v]: 1 for v in g.indices()}, ">", c.value))
-    for x in maximal_nonneighborhoods(cell, model.generators[ci]):
-        if x:
-            cons.append(LinearConstraint(
-                {names[v]: 1 for v in x.indices()}, "<=", c.value))
-    return cons, list(names.values())
+    cell = model.frame.partition[ci]
+    rows = [(cell.bits, 0, "=", 1)]
+    rows += [(g.bits, 0, ">", c.value) for g in model.generators[ci]]
+    rows += [(x.bits, 0, "<=", c.value)
+             for x in maximal_nonneighborhoods(cell, model.generators[ci])
+             if x]
+    return rows, list(cell.indices())
 
 
 class TestImpliedCaps:
@@ -620,30 +619,30 @@ class TestImpliedCaps:
             for ci in range(len(model.frame.partition)):
                 for text in ("1/3", "1/2", "3/5", "2/3", "3/4"):
                     c = Threshold(Fraction(text))
-                    full, names = every_cap_system(model, ci, c)
-                    cons, variables = synthesis.agreement_constraints(
+                    full, worlds = every_cap_system(model, ci, c)
+                    rows, variables = synthesis.agreement_constraints(
                         model, ci, c)
-                    key = (tuple(full), tuple(names))
+                    key = (tuple(full), tuple(worlds))
                     if key in checked:
                         continue
-                    assert variables == names
+                    assert variables == worlds
                     # only caps are left out, and none below 1/2
-                    assert [con for con in full if con in cons] == cons
-                    assert all(con.relation == ">=" for con in full
-                               if con not in cons)
+                    assert [row for row in full if row in rows] == rows
+                    assert all(row[2] == "<=" for row in full
+                               if row not in rows)
                     if c.value < Fraction(1, 2):
-                        assert cons == full
-                    checked[key] = len(full) - len(cons)
-                    if cons == full:
+                        assert rows == full
+                    checked[key] = len(full) - len(rows)
+                    if rows == full:
                         continue
-                    reduced = lp_feasible(cons, positivity=variables)
+                    reduced = lp_feasible(rows, positivity=variables)
                     if reduced.feasible:
                         # a point of the full system, so it is feasible too
-                        measure = reduced.as_dict()
-                        assert all(con.satisfied_by(measure)
-                                   for con in full)
+                        measure = dict(reduced.assignment)
+                        assert all(synthesis._holds(row, measure)
+                                   for row in full)
                     else:
-                        assert not lp_feasible(full, names).feasible
+                        assert not lp_feasible(full, worlds).feasible
         dropped = [d for d in checked.values() if d]
         assert len(dropped) > 300 and sum(dropped) > 1000
 
@@ -652,12 +651,12 @@ class TestImpliedCaps:
         # out of the LP; a broken solver's measure above it is refused
         frame = Frame(("a", "b", "c"), (("a", "b", "c"),), {})
         model = make_neighborhood_model(frame, [[frame.event("a")]])
-        cons, _ = synthesis.agreement_constraints(model, 0, HALF)
-        assert len(cons) == 2
+        rows, _ = synthesis.agreement_constraints(model, 0, HALF)
+        assert len(rows) == 2
         third = Fraction(1, 3)
         monkeypatch.setattr(synthesis, "lp_feasible", lambda *a, **k: (
-            synthesis.LPResult(True, (("p_a", third), ("p_b", third),
-                                      ("p_c", third)), third)))
+            synthesis.LPResult(True, ((0, third), (1, third), (2, third)),
+                               third)))
         with pytest.raises(RuntimeError, match="implied cap"):
             synthesize_measure(model, HALF)
 
@@ -671,17 +670,17 @@ class TestComparative:
             ("a", "b", "c"),
             ((EventSet.of([0], 3), "<", EventSet.of([1], 3)),
              (EventSet.of([1], 3), "<", EventSet.of([2], 3))))
-        res = realize_comparative(rel, full_support=True)
+        res = realize_comparative(rel)
         assert res.feasible
-        a = res.as_dict()
-        assert 0 < a["p_a"] < a["p_b"] < a["p_c"]
+        a = dict(res.assignment)
+        assert a[0] < a[1] < a[2]
 
     def test_equality_statements(self):
         rel = ComparativeRelation(
             ("a", "b"),
             ((EventSet.of([0], 2), "=", EventSet.of([1], 2)),))
-        res = realize_comparative(rel, full_support=True)
-        assert res.as_dict()["p_a"] == res.as_dict()["p_b"] == Fraction(1, 2)
+        res = realize_comparative(rel)
+        assert dict(res.assignment) == {0: Fraction(1, 2), 1: Fraction(1, 2)}
 
 
 def witness_bits(report):
