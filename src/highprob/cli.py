@@ -406,8 +406,8 @@ def _parse_statements(text: str, worlds) -> ComparativeRelation:
 
 def cmd_comparative(args) -> tuple[bool, dict, str]:
     worlds = tuple(args.universe.split())
-    for w in worlds:  # statements read - as the empty set, "," as a split
-        if w == "-" or "," in w:
+    for w in worlds:  # a statement reads these as {}, a split, a comment
+        if w == "-" or "," in w or w.startswith("#"):
             raise HighProbError(f"universe name {w!r} cannot be named in "
                                 "a statement")
     if args.statements:

@@ -75,7 +75,7 @@ _FLIP = {"<=": ">=", "<": ">"}
 @dataclass(frozen=True)
 class LPResult:
     feasible: bool
-    assignment: tuple[tuple[int, Fraction], ...] | None = None  # by world
+    assignment: tuple[tuple[int, Fraction], ...] | None = None  # by index
     slack: Fraction | None = None
     pivots: int = 0  # over both phases, drive-out pivots included
 

@@ -342,11 +342,12 @@ class TestErrorContract:
         assert "duplicate" in err
 
     def test_universe_names_statements_cannot_name(self, capsys, tmp_path):
-        # statements read - as the empty set and split events at commas, so
-        # a world named - would read as {} and one with a comma as two
+        # statements read - as the empty set, split events at commas and
+        # skip lines that start with #, so a world named - would read as {},
+        # one with a comma as two, and a statement starting #a as a comment
         stmts = tmp_path / "stmts.txt"
         stmts.write_text("a < -\n")
-        for universe, name in (("- a", "-"), ("a b,c", "b,c")):
+        for universe, name in (("- a", "-"), ("a b,c", "b,c"), ("#a b", "#a")):
             err = self.assert_error(capsys, "comparative", "--universe",
                                     universe, "--statements", str(stmts))
             assert err.startswith(f"error: universe name {name!r} ")
